@@ -121,6 +121,8 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
     walk, kind = _resolve_walk(args)
+    if args.oracle and kind not in ("g1", "g2"):
+        raise UsageError("--oracle requires --example g1 or g2")
     grid = dispersion_grid(walk, args.grid)
     if args.out:
         save_dispersion_csv(grid, args.out)
@@ -130,10 +132,8 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
             deviation = examples.g1_grid_oracle_deviation(
                 grid, _g1_params(_parse_params(args.params))
             )
-        elif kind == "g2":
-            deviation = examples.g2_grid_oracle_deviation(grid)
         else:
-            raise UsageError("--oracle requires --example g1 or g2")
+            deviation = examples.g2_grid_oracle_deviation(grid)
         print(f"oracle deviation: {deviation:.3e}")
         if deviation >= ORACLE_TOLERANCE:
             print(f"oracle: FAIL (tolerance {ORACLE_TOLERANCE:.1e})")

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coarse import _components
+from .coarse import WaveVector
 from .groups import (
     GeneratorLabel,
     GroupPresentation,
@@ -162,25 +162,36 @@ def g1_mass(params: G1Params) -> float:
     return float(np.sqrt(max(0.0, 1.0 - nu * nu)))
 
 
+def _wave_vectors(k) -> np.ndarray:
+    """One wave-vector as a (2,) array, or a batch as an (nk, 2) array."""
+    k = np.asarray(k.components if isinstance(k, WaveVector) else k, dtype=float)
+    if k.ndim not in (1, 2) or k.shape[-1] != 2:
+        raise ValueError(f"wave-vectors have shape {k.shape}, expected (2,) or (nk, 2)")
+    return k
+
+
 def g1_closed_form(k, nu: float, walk_class: str = "II") -> np.ndarray:
     """Exact eigenphase multiset (size 8) of the g1 fiber operator.
 
     alpha = nu sqrt((cos^2(k_x/2) + cos^2(k_y/2)) / 2) with (k_x, k_y) the
     H-basis pairings; the bands are +-arccos(alpha) + offset and the same
     shifted by pi, each with multiplicity two.  ``nu`` must be the
-    effective weight of the class (see ``g1_effective_weight``).
+    effective weight of the class (see ``g1_effective_weight``).  A (2,)
+    wave-vector gives the (8,) sorted phases, an (nk, 2) array of them the
+    (nk, 8) rows; ValueError if alpha leaves the arccos domain at any row.
     """
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"effective weight {nu} outside [0, 1]")
-    kx, ky = _components(k, 2)
+    k = _wave_vectors(k)
+    kx, ky = k[..., 0], k[..., 1]
     alpha = nu * np.sqrt(0.5 * (np.cos(kx / 2.0) ** 2 + np.cos(ky / 2.0) ** 2))
-    if alpha > 1.0 + 1e-12:
-        raise ValueError(f"alpha = {alpha} left the arccos domain")
-    arc = float(np.arccos(np.clip(alpha, -1.0, 1.0)))
+    if np.any(alpha > 1.0 + 1e-12):
+        raise ValueError(f"alpha = {np.max(alpha)} left the arccos domain")
+    arc = np.arccos(np.clip(alpha, -1.0, 1.0))
     offset = g1_band_offset(walk_class)
-    branch = np.array([arc + offset, -arc + offset])
-    phases = np.concatenate([branch, branch - np.pi])
-    return np.sort(wrap_phase(np.repeat(phases, 2)))
+    branch = np.stack([arc + offset, -arc + offset], axis=-1)
+    phases = np.concatenate([branch, branch - np.pi], axis=-1)
+    return np.sort(wrap_phase(np.repeat(phases, 2, axis=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +255,16 @@ def g2_walk(variant: str = "I") -> WalkSpec:
     )
 
 
-def g2_wave_numbers(k) -> tuple[float, float]:
+def g2_wave_numbers(k) -> tuple[np.ndarray, np.ndarray]:
     """Derived pairings (k_x, k_y) = (k_2 + k_3, k_2 - k_3).
 
     k_y is the pairing with the redundant translation h_1 = b a, which the
-    relator ties to h_2 - h_3.
+    relator ties to h_2 - h_3.  Scalars for one (2,) wave-vector, (nk,)
+    arrays for an (nk, 2) batch.
     """
-    k2, k3 = _components(k, 2)
-    return float(k2 + k3), float(k2 - k3)
+    k = _wave_vectors(k)
+    k2, k3 = k[..., 0], k[..., 1]
+    return k2 + k3, k2 - k3
 
 
 def g2_closed_form(k) -> np.ndarray:
@@ -259,13 +272,14 @@ def g2_closed_form(k) -> np.ndarray:
 
     alpha = (sin(k_x/2) + sin(k_y/2)) / 2; the bands are
     +-arccos(alpha) + pi/2 and the same shifted by pi.  Both coin variants
-    share this multiset at every k.
+    share this multiset at every k.  A (2,) wave-vector gives the (4,)
+    sorted phases, an (nk, 2) array of them the (nk, 4) rows.
     """
     kx, ky = g2_wave_numbers(k)
     alpha = 0.5 * (np.sin(kx / 2.0) + np.sin(ky / 2.0))
-    arc = float(np.arccos(np.clip(alpha, -1.0, 1.0)))
-    branch = np.array([arc + np.pi / 2.0, -arc + np.pi / 2.0])
-    return np.sort(wrap_phase(np.concatenate([branch, branch + np.pi])))
+    arc = np.arccos(np.clip(alpha, -1.0, 1.0))
+    branch = np.stack([arc + np.pi / 2.0, -arc + np.pi / 2.0], axis=-1)
+    return np.sort(wrap_phase(np.concatenate([branch, branch + np.pi], axis=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +316,13 @@ def g2_isotropy(variant: str = "I") -> IsotropySpec:
 
 
 def grid_oracle_deviation(grid: DispersionGrid, closed_form: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Worst circular multiset distance between grid phases and a closed form."""
-    worst = 0.0
-    for k, phases in zip(grid.kpoints, grid.phases):
-        worst = max(worst, phase_multiset_distance(phases, closed_form(k)))
-    return worst
+    """Worst circular multiset distance between grid phases and a closed form.
+
+    ``closed_form`` is called once with all (nk, d) grid wave-vectors and
+    must return the (nk, n) exact phases, one multiset per row.
+    """
+    distances = phase_multiset_distance(grid.phases, closed_form(grid.kpoints))
+    return float(np.max(distances, initial=0.0))
 
 
 def g1_grid_oracle_deviation(grid: DispersionGrid, params: G1Params) -> float:

@@ -95,12 +95,6 @@ def word_inverse(w: Word) -> Word:
     return tuple(g.inverse() for g in reversed(w))
 
 
-def word_power(w: Word, exponent: int) -> Word:
-    if exponent < 0:
-        return word_inverse(w) * (-exponent)
-    return w * exponent
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finite presentation <S+ | R>; relators are words over S = S+ u S-."""
@@ -428,8 +422,9 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> Vali
 
     Reports: missing/extra table rows, rows that are not coset permutations,
     inverse-consistency failures, representative words landing in the wrong
-    coset (or colliding), and relator words that do not close to the
-    identity.  An empty report means the table is consistent.
+    coset (or colliding), and relator words that do not fix every coset
+    start (0, j), not only the identity.  An empty report means the table
+    is consistent.
     """
     problems: list[ValidationProblem] = []
     alphabet = presentation.alphabet
@@ -508,20 +503,26 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> Vali
             )
         seen_cosets.setdefault(value.coset, j)
 
+    zero = (0,) * tiling.dimension
     for r in presentation.relators:
-        try:
-            value = evaluate_word(r, tiling)
-        except GroupArithmeticError as exc:
-            problems.append(
-                ValidationProblem("relator", f"relator {_word_str(r)} failed: {exc}")
-            )
-            continue
-        if not value.is_identity:
-            problems.append(
-                ValidationProblem(
-                    "relator",
-                    f"relator {_word_str(r)} evaluates to ({value.vector}, j={value.coset})",
+        for j in range(tiling.index):
+            start = GroupElement(zero, j)
+            try:
+                value = apply_word(start, r, tiling)
+            except GroupArithmeticError as exc:
+                problems.append(
+                    ValidationProblem(
+                        "relator", f"relator {_word_str(r)} from coset {j} failed: {exc}"
+                    )
                 )
-            )
+                continue
+            if value != start:
+                problems.append(
+                    ValidationProblem(
+                        "relator",
+                        f"relator {_word_str(r)} from coset {j} evaluates to "
+                        f"({value.vector}, j={value.coset})",
+                    )
+                )
 
     return ValidationReport(tuple(problems))

@@ -25,6 +25,9 @@ from .evolve import LatticeState, probability_map
 from .walks import TransitionFamily, WalkSpec
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 class WalkFileError(ValueError):
     """A walk-spec document failed to parse; message carries field context."""
 
@@ -209,14 +212,18 @@ def load_walk(path: str | Path) -> WalkSpec:
 
 def write_dispersion_csv(grid: DispersionGrid, stream: IO[str]) -> None:
     """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point,
-    phases ascending."""
+    phases ascending.  Fields are written as ``_format_float`` writes them."""
     d = grid.kpoints.shape[1]
     bands = grid.band_count
     header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(bands)]
     stream.write(",".join(header) + "\n")
-    for k, phases in zip(grid.kpoints, grid.phases):
-        row = [_format_float(x) for x in k] + [_format_float(w) for w in phases]
-        stream.write(",".join(row) + "\n")
+    # + 0.0 turns -0.0 into 0.0, as _format_float does; rows are formatted a
+    # block at a time so only one block of Python floats is alive at once
+    table = np.hstack([grid.kpoints, grid.phases]) + 0.0
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        rows = table[start:start + _CSV_BLOCK_ROWS].tolist()
+        stream.writelines([template % tuple(row) for row in rows])
 
 
 def save_dispersion_csv(grid: DispersionGrid, path: str | Path) -> None:

@@ -1,5 +1,5 @@
 """Dense complex matrix helpers: eigenphases of small unitaries, norms,
-and circular phase-multiset comparison.
+and circular phase-multiset comparison, batched over leading axes.
 
 Matrices are plain numpy arrays (complex128).  Eigenvalues of a unitary U
 are written e^{-i omega} with omega in (-pi, pi]; every eigenpair returned
@@ -103,27 +103,21 @@ def eigenphases(u: np.ndarray, **kwargs) -> np.ndarray:
     return eigenpairs(u, **kwargs)[0]
 
 
-def phase_multiset_distance(a, b) -> float:
+def phase_multiset_distance(a, b):
     """Smallest max circular mismatch over order-preserving matchings.
 
-    Both multisets are sorted on the circle; the optimal min-max matching of
+    The last axis holds the multisets; leading axes are a batch, so two
+    (nk, n) arrays give nk distances, and two 1-D inputs give a float.
+    Each multiset is sorted on the circle; the optimal min-max matching of
     two equal-size circular multisets is order preserving, so it suffices to
-    scan the n cyclic offsets.
+    scan the n cyclic offsets.  An offset whose mismatch is NaN never wins.
     """
-    a = np.sort(wrap_phase(np.asarray(a, dtype=float).ravel()))
-    b = np.sort(wrap_phase(np.asarray(b, dtype=float).ravel()))
+    a = np.sort(np.atleast_1d(wrap_phase(a)), axis=-1)
+    b = np.sort(np.atleast_1d(wrap_phase(b)), axis=-1)
     if a.shape != b.shape:
-        raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
-    n = a.size
-    if n == 0:
-        return 0.0
-    best = np.inf
+        raise ValueError(f"multiset shapes differ: {a.shape} vs {b.shape}")
+    n = a.shape[-1]
+    best = np.full(a.shape[:-1], 0.0 if n == 0 else np.inf)
     for shift in range(n):
-        d = circular_distance(a, np.roll(b, shift)).max()
-        if d < best:
-            best = float(d)
-    return best
-
-
-def phase_multisets_match(a, b, tol: float) -> bool:
-    return phase_multiset_distance(a, b) <= tol
+        best = np.fmin(best, circular_distance(a, np.roll(b, shift, axis=-1)).max(axis=-1))
+    return float(best) if best.ndim == 0 else best

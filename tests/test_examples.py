@@ -6,7 +6,7 @@ from cosetwalk import examples as ex
 from cosetwalk.groups import generator_pair, validate_tiling
 from cosetwalk.linalg import adjoint, eigenphases, phase_multiset_distance, wrap_phase
 from cosetwalk.coarse import build_kspace_operator
-from cosetwalk.spectral import band_phases, dispersion_grid
+from cosetwalk.spectral import band_phases, dispersion_grid, grid_axis
 from cosetwalk.walks import TransitionFamily, WalkSpec
 
 A, A_INV = generator_pair("a")
@@ -106,6 +106,53 @@ def test_g1_closed_form_full_weight_values():
 def test_g1_closed_form_rejects_bad_weight():
     with pytest.raises(ValueError):
         ex.g1_closed_form((0.0, 0.0), 1.0001, "I")
+
+
+def _grid_kpoints(resolution):
+    axis = grid_axis(resolution)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda k: ex.g1_closed_form(k, 0.8, "I"),
+    lambda k: ex.g1_closed_form(k, 0.6, "II"),
+    lambda k: ex.g1_closed_form(k, 1.0, "II"),
+    ex.g2_closed_form,
+], ids=["g1-I", "g1-II", "g1-II-full", "g2"])
+def test_batched_closed_forms_equal_stacked_single_k(closed_form):
+    kpoints = _grid_kpoints(33)
+    batched = closed_form(kpoints)
+    stacked = np.stack([closed_form(k) for k in kpoints])
+    assert batched.shape == stacked.shape == (33 * 33, stacked.shape[1])
+    assert batched.tobytes() == stacked.tobytes()
+
+
+def test_batched_closed_form_guards_raise(monkeypatch):
+    kpoints = np.array([[np.pi, np.pi], [0.0, 0.0], [np.pi, 0.0]])
+    for nu in (-0.1, 1.0001):
+        with pytest.raises(ValueError, match="effective weight"):
+            ex.g1_closed_form(kpoints, nu, "II")
+    with pytest.raises(ValueError, match="shape"):
+        ex.g1_closed_form(np.zeros((2, 3)), 0.5)
+    # alpha <= nu <= 1 in exact arithmetic, so push one row past the
+    # arccos domain by inflating the square root
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda x: 1.01 * sqrt(x))
+    with pytest.raises(ValueError, match="arccos domain"):
+        ex.g1_closed_form(kpoints, 0.995, "I")
+
+
+def test_grid_oracle_deviation_is_worst_single_k_distance(g1_massive):
+    grid = dispersion_grid(g1_massive, 9)
+
+    def closed_form(k):
+        return ex.g1_closed_form(k, 0.6, "II")
+
+    per_k = [
+        phase_multiset_distance(phases, closed_form(k))
+        for k, phases in zip(grid.kpoints, grid.phases)
+    ]
+    assert ex.grid_oracle_deviation(grid, closed_form) == max(per_k)
 
 
 def test_g1_effective_weight_and_mass():

@@ -5,6 +5,7 @@ from cosetwalk import examples as ex
 from cosetwalk.groups import (
     CosetIndexError,
     GroupElement,
+    GroupPresentation,
     TilingData,
     TilingRule,
     UnknownGeneratorError,
@@ -231,6 +232,28 @@ def test_perturbed_shift_breaks_relator_closure():
     report = validate_tiling(bad, G1.presentation)
     assert not report.ok
     assert report.kinds() == {"relator"}
+
+
+def test_relator_must_close_from_every_coset():
+    # <a, t | a^2, a t a^-1 t> at index 2: every check passes from the
+    # identity, but a t a^-1 t moves coset 1 by -4 along the lattice
+    a, a_inv = generator_pair("a")
+    t, t_inv = generator_pair("t")
+    relator = (a, t, a_inv, t)
+    presentation = GroupPresentation((a, t), ((a, a), relator))
+    forward = [(a, 0, 1, (-1,)), (a, 1, 0, (1,)), (t, 0, 1, (-1,)), (t, 1, 0, (-1,))]
+    rules = [TilingRule(*row) for row in forward] + [
+        TilingRule(g.inverse(), target, j, tuple(-s for s in shift))
+        for g, j, target, shift in forward
+    ]
+    tiling = TilingData(1, 2, ((), (a,)), tuple(rules))
+    assert evaluate_word(relator, tiling).is_identity
+    assert apply_word(GroupElement((0,), 1), relator, tiling) == GroupElement((-4,), 1)
+    report = validate_tiling(tiling, presentation)
+    assert report.kinds() == {"relator"}
+    assert [p.message for p in report.problems] == [
+        "relator a t a^-1 t from coset 1 evaluates to ((-4,), j=1)"
+    ]
 
 
 def test_unpaired_shift_perturbation_breaks_inverse_consistency():

@@ -1,3 +1,4 @@
+import io
 import json
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from cosetwalk.io import (
     dumps_walk,
     loads_walk,
     save_dispersion_csv,
+    write_dispersion_csv,
 )
-from cosetwalk.spectral import dispersion_grid
+from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import unitarity_residual
 
 
@@ -65,6 +67,38 @@ def test_dispersion_csv_format(tmp_path, g2_one):
         assert all(-np.pi < w <= np.pi + 1e-15 for w in omegas)
 
 
+def _per_row_csv(grid):
+    """The row-at-a-time writer the block writer replaced."""
+    d = grid.kpoints.shape[1]
+    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(grid.band_count)]
+    lines = [",".join(header) + "\n"]
+    for k, phases in zip(grid.kpoints, grid.phases):
+        lines.append(",".join(format(float(x) + 0.0, ".17g") for x in (*k, *phases)) + "\n")
+    return "".join(lines)
+
+
+def _csv_text(grid):
+    stream = io.StringIO()
+    write_dispersion_csv(grid, stream)
+    return stream.getvalue()
+
+
+def test_dispersion_csv_matches_per_row_formatting(g1_massive):
+    # 33^2 rows span more than one row block
+    grid = dispersion_grid(g1_massive, 33)
+    assert _csv_text(grid) == _per_row_csv(grid)
+
+
+def test_dispersion_csv_prints_negative_zero_as_zero(g2_one):
+    kpoints = np.array([[-0.0, np.pi], [0.5, -0.0]])
+    phases = np.array([[-np.pi / 2, -0.0, 0.25, np.pi], [-0.0, -0.0, 1e-300, 3.0]])
+    grid = DispersionGrid(g2_one, 2, np.array([0.5, np.pi]), kpoints, phases)
+    text = _csv_text(grid)
+    assert text == _per_row_csv(grid)
+    assert text.splitlines()[1].startswith("0,3.1415926535897931,")
+    assert "-0" not in text.replace("e-", "")
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -105,6 +139,18 @@ def test_cli_dispersion_oracle(tmp_path):
         "--params", "n=0.6,m=0.8,class=I,sign=-",
         "--grid", "9", "--oracle",
     ]) == 0
+
+
+def test_cli_dispersion_oracle_on_walk_file_is_rejected_before_solving(tmp_path, capsys):
+    spec = tmp_path / "w.json"
+    assert main(["show-example", "g1", "--out", str(spec)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    assert main(["dispersion", str(spec), "--grid", "9", "--oracle", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --oracle requires --example g1 or g2"]
+    assert not out.exists()
 
 
 def test_cli_dispersion_grid_usage_error(capsys):

@@ -138,6 +138,8 @@ def test_multiset_distance_handles_wraparound():
 def test_multiset_distance_rejects_size_mismatch():
     with pytest.raises(ValueError):
         phase_multiset_distance([0.0], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        phase_multiset_distance(np.zeros((3, 4)), np.zeros((2, 4)))
 
 
 @given(
@@ -154,3 +156,41 @@ def test_multiset_distance_detects_common_rotation(phases, shift):
 def test_multiset_distance_zero_on_permutations(rng):
     a = rng.uniform(-np.pi, np.pi, 8)
     assert phase_multiset_distance(a, rng.permutation(a)) == 0.0
+
+
+def _loop_multiset_distance(a, b):
+    """The per-offset Python loop the batched distance replaced."""
+    a = np.sort(wrap_phase(np.ravel(a)))
+    b = np.sort(wrap_phase(np.ravel(b)))
+    best = np.inf
+    for shift in range(a.size):
+        d = circular_distance(a, np.roll(b, shift)).max()
+        if d < best:
+            best = float(d)
+    return best
+
+
+def test_batched_multiset_distance_rows_equal_scalar_calls(rng):
+    # values drawn from a small pool give exact ties inside and across rows,
+    # with entries at +-pi and -0.0; the rest are uniform on the circle
+    pool = np.array([np.pi, -np.pi, 0.0, -0.0, np.pi - 1e-12, 0.5, -2.5])
+    rows, n = 400, 8
+    a = np.where(rng.random((rows, n)) < 0.5, rng.choice(pool, (rows, n)),
+                 rng.uniform(-np.pi, np.pi, (rows, n)))
+    b = np.where(rng.random((rows, n)) < 0.5, rng.choice(pool, (rows, n)),
+                 rng.uniform(-np.pi, np.pi, (rows, n)))
+    b[::4] = rng.permuted(a[::4], axis=1)
+    batched = phase_multiset_distance(a, b)
+    assert batched.shape == (rows,)
+    for i in range(rows):
+        single = phase_multiset_distance(a[i], b[i])
+        assert isinstance(single, float)
+        assert batched[i] == single == _loop_multiset_distance(a[i], b[i])
+    assert np.all(batched[::4] == 0.0)
+
+
+def test_multiset_distance_with_nan_is_infinite():
+    # a NaN phase must never compare as a match, so it cannot pass a tolerance
+    assert phase_multiset_distance([np.nan, 0.0], [0.0, 0.0]) == np.inf
+    batched = phase_multiset_distance([[np.nan, 0.0], [0.5, 1.0]], [[0.0, 0.0], [1.0, 0.5]])
+    assert batched.tolist() == [np.inf, 0.0]
