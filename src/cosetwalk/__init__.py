@@ -32,7 +32,7 @@ from .walks import (
     isotropy_normalization_residual,
     unitarity_residual,
 )
-from .coarse import KOperator, WaveVector, build_kspace_operator, retile
+from .coarse import WaveVector, build_kspace_operator, retile
 from .linalg import eigenphases, operator_norm, phase_multiset_distance
 from .spectral import (
     BandAnalysis,
@@ -74,7 +74,6 @@ __all__ = [
     "check_isotropy",
     "isotropy_normalization_residual",
     "unitarity_residual",
-    "KOperator",
     "WaveVector",
     "build_kspace_operator",
     "retile",

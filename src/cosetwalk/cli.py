@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, dispersion, evolve, show-example, suite.
-Exit codes: 0 success, 1 validation/oracle failure, 2 usage or parse error.
+Exit codes: 0 success, 1 validation/oracle failure or a non-unitary walk
+(NonUnitaryError / EigensolveError from the eigen kernel), 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from . import examples
 from .evolve import TorusSizeError, evolve, make_delta, make_plane_wave
 from .groups import validate_tiling
 from .io import WalkFileError, load_walk, save_dispersion_csv, save_probability_csv, save_walk
-from .linalg import PAULI_X, PAULI_Z
+from .linalg import PAULI_X, PAULI_Z, EigensolveError, NonUnitaryError
 from .spectral import dispersion_grid
 from .walks import IsotropySpec, WalkSpec, check_isotropy, unitarity_residual
 
@@ -57,14 +59,14 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, str]:
     """Walk from --example (with --params) or from a walk-spec file."""
     fields = _parse_params(getattr(args, "params", None))
     if args.example:
-        if args.example == "g1":
-            return examples.g1_walk(_g1_params(fields)), "g1"
-        if args.example == "g2":
-            variant = fields.get("class", "I")
-            if variant not in ("I", "II"):
-                raise UsageError(f"g2 class must be I or II, got {variant!r}")
-            return examples.g2_walk(variant), "g2"
-        raise UsageError(f"unknown example {args.example!r}; available: g1, g2")
+        g1_params = _g1_params(fields) if args.example == "g1" else None
+        try:
+            walk = examples.builtin_walk(
+                args.example, g1_params=g1_params, g2_variant=fields.get("class", "I")
+            )
+        except (KeyError, ValueError) as exc:
+            raise UsageError(exc.args[0]) from exc
+        return walk, args.example
     if args.path:
         return load_walk(args.path), "file"
     raise UsageError("provide a walk-spec file or --example g1|g2")
@@ -234,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except TorusSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NonUnitaryError, EigensolveError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":  # pragma: no cover

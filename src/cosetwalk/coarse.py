@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import TilingData, TilingRule, Word, evaluate_word
+from .linalg import wrap_phase
 from .walks import WalkSpec
 
 
@@ -36,9 +37,7 @@ class WaveVector:
 
     @classmethod
     def wrap(cls, values: Sequence[float]) -> "WaveVector":
-        w = np.mod(np.asarray(values, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-        w = np.where(w == -np.pi, np.pi, w)
-        return cls(tuple(float(x) for x in w))
+        return cls(tuple(float(x) for x in wrap_phase(values)))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -54,24 +53,6 @@ def _components(k, dimension: int) -> np.ndarray:
 def build_kspace_operator(walk: WalkSpec, k) -> np.ndarray:
     """Dense (s*l) x (s*l) fiber operator at wave-vector k."""
     return kspace_operators(walk, _components(k, walk.tiling.dimension)[None, :])[0]
-
-
-@dataclass(frozen=True, eq=False)
-class KOperator:
-    """The fiber-operator family of a walk: call it at a wave-vector.
-
-    Evaluations are unitary (to the walk's unitarity residual) whenever the
-    source walk is.
-    """
-
-    source: WalkSpec
-
-    @property
-    def dim(self) -> int:
-        return self.source.block_dim
-
-    def __call__(self, k) -> np.ndarray:
-        return build_kspace_operator(self.source, k)
 
 
 def kspace_operators(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:

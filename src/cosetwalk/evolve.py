@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse import kspace_operators
+from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
 
@@ -92,17 +93,13 @@ def make_plane_wave(
     eigenvector of the k-space operator, so a step multiplies the state by
     a phase and every probability marginal is time invariant.
     """
-    from .linalg import eigenpairs, wrap_phase
-
     d = walk.tiling.dimension
     sizes = (size,) * d
     _check_torus(walk, sizes)
     if len(momentum) != d:
         raise ValueError(f"momentum index needs {d} components")
     k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
-    operator = kspace_operators(walk, np.asarray(k)[None, :])[0]
-    _, vectors = eigenpairs(operator)
-    fiber = vectors[:, band]
+    fiber = eigenpairs(kspace_operators(walk, k[None, :]))[1][0, :, band]
     fiber = fiber / np.linalg.norm(fiber)
     grids = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
     phase = np.zeros(sizes, dtype=float)
@@ -157,10 +154,7 @@ def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeSt
     fiber = hat.reshape(state.sizes + (walk.block_dim,))
 
     momenta = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
-    kpoints = np.stack(
-        [np.mod(2.0 * np.pi * m.ravel() / size + np.pi, 2.0 * np.pi) - np.pi for m in momenta],
-        axis=1,
-    )
+    kpoints = np.stack([wrap_phase(2.0 * np.pi * m.ravel() / size) for m in momenta], axis=1)
     operators = kspace_operators(walk, kpoints)
     powered = np.linalg.matrix_power(operators, steps)
     flat = fiber.reshape(-1, walk.block_dim)

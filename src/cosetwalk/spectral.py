@@ -1,6 +1,11 @@
 """Dispersion sweeps over the wave-vector domain, group velocity, and band
 curvature by finite differences.
 
+Every k-space solve stacks the fiber operators of all its wave-vectors
+(a grid, or the points of one finite-difference stencil) and hands them to
+``linalg.eigenpairs`` in one call, so grids and stencils share one
+unitarity check, eigensolve, sort and residual certificate.
+
 Bands are indexed by sorted phase at each k independently; crossing points
 show up as kinks of the sorted bands and are detected (never silently
 differentiated across).
@@ -13,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse import _components, kspace_operators
-from .linalg import (
-    DEFAULT_RESIDUAL_TOL,
-    DEFAULT_UNITARY_TOL,
-    EigensolveError,
-    NonUnitaryError,
-    wrap_phase,
-)
+from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
 VELOCITY_STEP = 1e-5
@@ -60,36 +59,6 @@ def grid_axis(resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * steps / resolution
 
 
-def _batched_phases(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:
-    operators = kspace_operators(walk, kpoints)
-    defect = np.abs(
-        np.swapaxes(operators, -1, -2).conj() @ operators - np.eye(walk.block_dim)
-    ).sum(axis=(-1, -2))
-    bad = int(np.argmax(defect))
-    if defect[bad] > DEFAULT_UNITARY_TOL * walk.block_dim:
-        raise NonUnitaryError(
-            f"fiber operator at k={kpoints[bad]} has unitarity defect "
-            f"{defect[bad]:.3e}"
-        )
-    try:
-        values, vectors = np.linalg.eig(operators)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"batched eigensolve failed: {exc}") from exc
-    phases = wrap_phase(-np.angle(values))
-    order = np.argsort(phases, axis=1, kind="stable")
-    phases = np.take_along_axis(phases, order, axis=1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-    residuals = np.linalg.norm(
-        operators @ vectors - vectors * np.exp(-1j * phases)[:, None, :], axis=1
-    ) / np.linalg.norm(vectors, axis=1)
-    worst = int(np.argmax(residuals.max(axis=1)))
-    if residuals[worst].max() > DEFAULT_RESIDUAL_TOL:
-        raise EigensolveError(
-            f"eigenpair residual {residuals[worst].max():.3e} at k={kpoints[worst]}"
-        )
-    return phases
-
-
 def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     """Eigenphase sweep on the N^d wave-vector lattice (N = resolution >= 2)."""
     if resolution < 2:
@@ -98,19 +67,29 @@ def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     axis = grid_axis(resolution)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     kpoints = np.stack([m.ravel() for m in mesh], axis=1)
-    phases = _batched_phases(walk, kpoints)
+    phases = eigenpairs(kspace_operators(walk, kpoints))[0]
     return DispersionGrid(walk, resolution, axis, kpoints, phases)
 
 
 def band_phases(walk: WalkSpec, k) -> np.ndarray:
     """Sorted eigenphases of the fiber operator at one wave-vector."""
     comps = _components(k, walk.tiling.dimension)
-    return _batched_phases(walk, comps[None, :])[0]
+    return eigenpairs(kspace_operators(walk, comps[None, :]))[0][0]
 
 
-def _signed_gap(a: float, b: float) -> float:
-    """a - b on the circle, in (-pi, pi]."""
-    return float(wrap_phase(a - b))
+def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps) -> tuple:
+    """One band's phase at k and at k +- h e_axis for each h in ``steps``.
+
+    All 1 + 2 * len(steps) * d points are solved in one kernel call.
+    Returns (center, upper, lower), with upper[i, axis] the phase at
+    k + steps[i] e_axis and lower[i, axis] the phase at k - steps[i] e_axis.
+    """
+    d = comps.size
+    shifts = [h * np.eye(d) for h in steps]
+    points = np.concatenate([comps[None, :]] + [comps + s for s in shifts] + [comps - s for s in shifts])
+    phases = eigenpairs(kspace_operators(walk, points))[0][:, band]
+    upper, lower = phases[1:].reshape(2, len(steps), d)
+    return phases[0], upper, lower
 
 
 def group_velocity(
@@ -123,22 +102,15 @@ def group_velocity(
     silent average slope.
     """
     comps = _components(k, walk.tiling.dimension)
-    d = comps.size
-    center = band_phases(walk, comps)[band]
-    out = np.empty(d)
-    for axis in range(d):
-        offset = np.zeros(d)
-        offset[axis] = step
-        upper = band_phases(walk, comps + offset)[band]
-        lower = band_phases(walk, comps - offset)[band]
-        forward = _signed_gap(upper, center)
-        backward = _signed_gap(center, lower)
-        if abs(forward - backward) > 50.0 * step * step:
-            raise BandCrossingError(
-                f"band {band} kinks within the stencil at k={comps} along axis {axis}"
-            )
-        out[axis] = (forward + backward) / (2.0 * step)
-    return out
+    center, upper, lower = _stencil_phases(walk, comps, band, (step,))
+    forward = wrap_phase(upper[0] - center)
+    backward = wrap_phase(center - lower[0])
+    kinked = np.flatnonzero(np.abs(forward - backward) > 50.0 * step * step)
+    if kinked.size:
+        raise BandCrossingError(
+            f"band {band} kinks within the stencil at k={comps} along axis {kinked[0]}"
+        )
+    return (forward + backward) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -185,19 +157,7 @@ def band_curvature(
             f"gradient component {worst:.3e} exceeds {gradient_tolerance:.1e}; "
             "curvature is defined at extrema only"
         )
-    d = comps.size
-    center = band_phases(walk, comps)[band]
-
-    def second_difference(axis: int, h: float) -> float:
-        offset = np.zeros(d)
-        offset[axis] = h
-        upper = band_phases(walk, comps + offset)[band]
-        lower = band_phases(walk, comps - offset)[band]
-        return (_signed_gap(upper, center) + _signed_gap(lower, center)) / (h * h)
-
-    out = np.empty(d)
-    for axis in range(d):
-        coarse = second_difference(axis, step)
-        fine = second_difference(axis, step / 2.0)
-        out[axis] = (4.0 * fine - coarse) / 3.0
-    return out
+    steps = np.array([step, step / 2.0])
+    center, upper, lower = _stencil_phases(walk, comps, band, steps)
+    coarse, fine = (wrap_phase(upper - center) + wrap_phase(lower - center)) / (steps * steps)[:, None]
+    return (4.0 * fine - coarse) / 3.0

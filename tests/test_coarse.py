@@ -95,16 +95,6 @@ def test_batched_operators_match_single_builds(g1_massive, rng):
         assert_allclose(m, build_kspace_operator(g1_massive, k))
 
 
-def test_koperator_family(g2_one, rng):
-    from cosetwalk.coarse import KOperator
-
-    family = KOperator(g2_one)
-    assert family.dim == 4
-    k = rng.uniform(-np.pi, np.pi, 2)
-    assert_allclose(family(k), build_kspace_operator(g2_one, k))
-    assert unitarity_defect(family(k)) < 1e-12
-
-
 def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
     # independent construction: sigma_z tensor (B_k sigma_z) with
     # B_k = e^{-i kx/2} A_a + e^{-i ky/2} A_b + e^{i ky/2} A_a^-1 + e^{i kx/2} A_b^-1

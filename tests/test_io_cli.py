@@ -1,5 +1,7 @@
 import io
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,22 @@ def test_cli_evolve_torus_too_small(capsys):
 def test_cli_unknown_example(capsys):
     assert main(["dispersion", "--example", "g9", "--grid", "5"]) == 2
     assert "unknown example" in capsys.readouterr().err
+
+
+def test_cli_bad_g2_class(capsys):
+    assert main(["dispersion", "--example", "g2", "--params", "class=III", "--grid", "5"]) == 2
+    assert "'III'" in capsys.readouterr().err
+
+
+def test_cli_non_unitary_walk_fails_with_one_line(capsys):
+    # g1 with its a matrix doubled: the fiber operators are far from unitary
+    path = Path(__file__).parent / "fixtures" / "g1_a_doubled.json"
+    assert main(["dispersion", str(path), "--grid", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unitarity defect")
 
 
 def test_cli_missing_source(capsys):

@@ -112,6 +112,47 @@ def test_unitarity_defect_scale():
     assert unitarity_defect(1.1 * np.eye(2)) == pytest.approx(0.21)
 
 
+def _assert_stack_equals_singles(stack):
+    phases, vectors = eigenpairs(stack)
+    assert phases.shape == stack.shape[:-1] and vectors.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-2]):
+        single_phases, single_vectors = eigenpairs(stack[idx])
+        assert phases[idx].tobytes() == single_phases.tobytes()
+        assert vectors[idx].tobytes() == single_vectors.tobytes()
+
+
+def test_stacked_kernel_is_bitwise_the_per_matrix_kernel(rng, g1_massive, g2_one):
+    from cosetwalk.coarse import kspace_operators
+
+    _assert_stack_equals_singles(np.stack([_random_unitary(rng, 6) for _ in range(20)]))
+    kpoints = rng.uniform(-np.pi, np.pi, (25, 2))
+    for walk in (g1_massive, g2_one):
+        _assert_stack_equals_singles(kspace_operators(walk, kpoints))
+    grid = np.stack([np.stack([_random_unitary(rng, 5) for _ in range(3)]) for _ in range(2)])
+    _assert_stack_equals_singles(grid)
+
+
+def test_frobenius_screen_defers_to_the_two_norm():
+    # a sheared diagonal unitary: ||U^dag U - I||_2 = 9e-9 is inside the
+    # bound, while the Frobenius norm (~1.27e-8) that screens the stack is not
+    u = np.array([[np.exp(0.3j), 9e-9], [0, np.exp(-1.1j)]])
+    assert unitarity_defect(u) < 1e-8 < np.linalg.norm(adjoint(u) @ u - np.eye(2))
+    assert_allclose(eigenphases(np.stack([u, u])), [[-0.3, 1.1]] * 2, atol=1e-14)
+
+
+def test_bad_matrices_in_a_stack_name_the_first_index(rng):
+    stack = np.stack([np.stack([_random_unitary(rng, 4) for _ in range(3)]) for _ in range(2)])
+    good = stack.copy()
+    stack[1, 1] *= 2.0
+    stack[0, 2] *= 1.5
+    with pytest.raises(NonUnitaryError, match=r"stack index \(0, 2\)"):
+        eigenpairs(stack)
+    stack = good
+    stack[1, 2] = np.nan
+    with pytest.raises(NonUnitaryError, match=r"stack index \(1, 2\)"):
+        eigenpairs(stack)
+
+
 # --- phase wrapping and multiset comparison --------------------------------
 
 

@@ -3,8 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
-from cosetwalk.linalg import phase_multiset_distance, wrap_phase
+from cosetwalk.coarse import kspace_operators
+from cosetwalk.linalg import (
+    NonUnitaryError,
+    adjoint,
+    operator_norm,
+    phase_multiset_distance,
+    wrap_phase,
+)
 from cosetwalk.spectral import (
+    CURVATURE_STEP,
+    GRADIENT_TOLERANCE,
+    VELOCITY_STEP,
     BandCrossingError,
     ExtremumError,
     band_curvature,
@@ -13,6 +23,7 @@ from cosetwalk.spectral import (
     grid_axis,
     group_velocity,
 )
+from cosetwalk.walks import TransitionFamily, WalkSpec
 
 
 def test_grid_axis_covers_principal_interval():
@@ -58,6 +69,23 @@ def test_g2_degenerate_band_touching(g2_one):
     phases = band_phases(g2_one, (np.pi, 0.0))
     expected = [-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 2]
     assert phase_multiset_distance(phases, expected) < 1e-12
+
+
+def test_grid_rejects_two_norm_defect_the_entrywise_bound_allowed(g1_massive):
+    # scaling coin column 0 of every transition matrix by (1 + delta) turns
+    # each fiber operator U into U D, so U^dag U - I becomes D^2 - I: four
+    # diagonal entries 2 delta + delta^2 in the 8 x 8 fiber of g1
+    delta = 0.95e-8
+    mats = {g: m * np.array([1.0 + delta, 1.0]) for g, m in g1_massive.transitions.matrices.items()}
+    walk = WalkSpec(g1_massive.presentation, g1_massive.tiling, TransitionFamily(2, mats))
+    axis = grid_axis(5)
+    ops = kspace_operators(walk, np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2))
+    gram = adjoint(ops) @ ops - np.eye(8)
+    # under the old grid check, entrywise L1 <= 1e-8 * dim, every operator passes
+    assert np.abs(gram).sum(axis=(-2, -1)).max() < 8e-8
+    assert operator_norm(gram).min() > 1.8e-8
+    with pytest.raises(NonUnitaryError):
+        dispersion_grid(walk, 5)
 
 
 def test_grid_matches_closed_forms(g1_massive, g2_one):
@@ -174,3 +202,78 @@ def test_phase_continuity_along_grid_lines(maker):
             rows_b = rolled[i + 1].reshape(-1, phases.shape[-1])
             for a, b in zip(rows_a, rows_b):
                 assert phase_multiset_distance(a, b) <= bound
+
+
+# --- stencils against the per-point loop ------------------------------------
+
+
+def _loop_group_velocity(walk, k, band, step=VELOCITY_STEP):
+    """The one-solve-per-point loop the batched stencil replaced."""
+    comps = np.asarray(k, dtype=float)
+    d = comps.size
+    center = band_phases(walk, comps)[band]
+    out = np.empty(d)
+    for axis in range(d):
+        offset = np.zeros(d)
+        offset[axis] = step
+        upper = band_phases(walk, comps + offset)[band]
+        lower = band_phases(walk, comps - offset)[band]
+        forward = float(wrap_phase(upper - center))
+        backward = float(wrap_phase(center - lower))
+        if abs(forward - backward) > 50.0 * step * step:
+            raise BandCrossingError(f"axis {axis}")
+        out[axis] = (forward + backward) / (2.0 * step)
+    return out
+
+
+def _loop_band_curvature(walk, k, band, step=CURVATURE_STEP):
+    comps = np.asarray(k, dtype=float)
+    gradient = _loop_group_velocity(walk, comps, band)
+    if float(np.abs(gradient).max()) > GRADIENT_TOLERANCE:
+        raise ExtremumError("not an extremum")
+    d = comps.size
+    center = band_phases(walk, comps)[band]
+
+    def second_difference(axis, h):
+        offset = np.zeros(d)
+        offset[axis] = h
+        upper = band_phases(walk, comps + offset)[band]
+        lower = band_phases(walk, comps - offset)[band]
+        return (float(wrap_phase(upper - center)) + float(wrap_phase(lower - center))) / (h * h)
+
+    out = np.empty(d)
+    for axis in range(d):
+        coarse = second_difference(axis, step)
+        fine = second_difference(axis, step / 2.0)
+        out[axis] = (4.0 * fine - coarse) / 3.0
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except (BandCrossingError, ExtremumError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: ex.g1_walk(ex.G1Params("I", 0.6, 0.8, 1)),
+    lambda: ex.g1_walk(ex.G1Params("II", 0.8, 0.6, -1)),
+    lambda: ex.g2_walk("I"),
+], ids=["g1-I", "g1-II", "g2"])
+def test_stencils_bitwise_equal_per_point_loop(maker, rng):
+    walk = maker()
+    cases = [((0.0, 0.0), band) for band in range(walk.block_dim)]
+    cases += [(tuple(rng.uniform(-np.pi, np.pi, 2)), int(rng.integers(walk.block_dim))) for _ in range(6)]
+    # g2: a kink of the sorted bands on k2 = 0, and a point that is no extremum
+    cases += [((0.0, 1.0), 1), ((0.5, 0.3), 3)]
+    outcomes = set()
+    for k, band in cases:
+        velocity = _outcome(group_velocity, walk, k, band)
+        assert velocity == _outcome(_loop_group_velocity, walk, k, band)
+        curvature = _outcome(band_curvature, walk, k, band)
+        assert curvature == _outcome(_loop_band_curvature, walk, k, band)
+        outcomes.update({velocity, curvature})
+    assert bytes in {type(o) for o in outcomes}
+    if walk.block_dim == 4:
+        assert {BandCrossingError, ExtremumError} <= outcomes
