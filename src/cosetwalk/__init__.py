@@ -31,6 +31,7 @@ from .walks import (
     check_isotropy,
     isotropy_normalization_residual,
     unitarity_residual,
+    unitarity_residuals,
 )
 from .coarse import WaveVector, build_kspace_operator, retile
 from .linalg import eigenphases, operator_norm, phase_multiset_distance
@@ -74,6 +75,7 @@ __all__ = [
     "check_isotropy",
     "isotropy_normalization_residual",
     "unitarity_residual",
+    "unitarity_residuals",
     "WaveVector",
     "build_kspace_operator",
     "retile",

@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, dispersion, evolve, show-example, suite.
-Exit codes: 0 success, 1 validation/oracle failure or a non-unitary walk
-(NonUnitaryError / EigensolveError from the eigen kernel), 2 usage or parse
-error.
+Exit codes: 0 success, 1 validation/oracle failure, a non-unitary walk
+(NonUnitaryError / EigensolveError from the eigen kernel) or an invalid
+tiling (TilingError), 2 usage or parse error.  ``evolve`` checks the
+tiling and the unitarity residual (to UNITARITY_TOLERANCE) of its walk
+before stepping.  Array sizes the user picks are bounded before anything
+is allocated: the ``dispersion`` operator stack (grid^d (l s)^2 entries)
+and the ``evolve`` state (torus^d l s entries) may hold at most
+MAX_ARRAY_ENTRIES complex entries (256 MiB).
 """
 
 from __future__ import annotations
@@ -12,13 +17,15 @@ import argparse
 import sys
 from . import examples
 from .evolve import TorusSizeError, evolve, make_delta, make_plane_wave
-from .groups import validate_tiling
+from .groups import TilingError, validate_tiling
 from .io import WalkFileError, load_walk, save_dispersion_csv, save_probability_csv, save_walk
 from .linalg import PAULI_X, PAULI_Z, EigensolveError, NonUnitaryError
 from .spectral import dispersion_grid
 from .walks import IsotropySpec, WalkSpec, check_isotropy, unitarity_residual
 
 ORACLE_TOLERANCE = 1e-9
+UNITARITY_TOLERANCE = 1e-10
+MAX_ARRAY_ENTRIES = 2**24
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -70,6 +77,25 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, str]:
     if args.path:
         return load_walk(args.path), "file"
     raise UsageError("provide a walk-spec file or --example g1|g2")
+
+
+def _bound_entries(entries: int, what: str) -> None:
+    if entries > MAX_ARRAY_ENTRIES:
+        raise UsageError(
+            f"{what} would hold {entries} complex entries, over the cap of {MAX_ARRAY_ENTRIES}"
+        )
+
+
+def _check_walk(walk: WalkSpec) -> None:
+    """Raise TilingError or NonUnitaryError unless the walk validates."""
+    report = validate_tiling(walk.tiling, walk.presentation)
+    if not report.ok:
+        raise TilingError(f"invalid tiling: {report.problems[0]}")
+    residual, _ = unitarity_residual(walk)
+    if residual > UNITARITY_TOLERANCE:
+        raise NonUnitaryError(
+            f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOLERANCE:.1e}"
+        )
 
 
 def _add_walk_source(parser: argparse.ArgumentParser) -> None:
@@ -125,6 +151,9 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     walk, kind = _resolve_walk(args)
     if args.oracle and kind not in ("g1", "g2"):
         raise UsageError("--oracle requires --example g1 or g2")
+    _bound_entries(
+        args.grid ** walk.tiling.dimension * walk.block_dim**2, f"--grid {args.grid}"
+    )
     grid = dispersion_grid(walk, args.grid)
     if args.out:
         save_dispersion_csv(grid, args.out)
@@ -148,6 +177,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
     walk, _ = _resolve_walk(args)
+    _bound_entries(
+        args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}"
+    )
+    _check_walk(walk)
     if args.init == "delta":
         state = make_delta(walk, args.torus)
     else:
@@ -185,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a walk spec's tiling and unitarity")
     _add_walk_source(p)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float, default=UNITARITY_TOLERANCE)
     p.add_argument("--isotropy", choices=["sigma_x", "sigma_z"], help="also check a<->b swap covariance")
     p.set_defaults(handler=cmd_validate)
 
@@ -236,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except TorusSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonUnitaryError, EigensolveError) as exc:
+    except (NonUnitaryError, EigensolveError, TilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

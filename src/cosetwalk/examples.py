@@ -40,7 +40,14 @@ from .linalg import (
     wrap_phase,
 )
 from .spectral import DispersionGrid
-from .walks import IsotropySpec, TransitionFamily, WalkSpec, check_isotropy, unitarity_residual
+from .walks import (
+    IsotropySpec,
+    TransitionFamily,
+    WalkSpec,
+    check_isotropy,
+    unitarity_residual,
+    unitarity_residuals,
+)
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
@@ -359,13 +366,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _scalar_walk(template: WalkSpec, amplitudes: Mapping[GeneratorLabel, complex]) -> WalkSpec:
-    matrices = {g: np.array([[z]], dtype=complex) for g, z in amplitudes.items()}
-    return WalkSpec(
-        presentation=template.presentation,
-        tiling=template.tiling,
-        transitions=TransitionFamily(coin_dim=1, matrices=matrices),
-    )
+_SAMPLE_BLOCK = 4096
 
 
 def scalar_rejection_rate(
@@ -380,20 +381,24 @@ def scalar_rejection_rate(
 
     Every letter gets a nonzero scalar with modulus drawn uniformly from
     ``modulus_range`` and a uniform phase; a family is rejected when its
-    unitarity residual reaches ``threshold``.
+    unitarity residual reaches ``threshold``.  The draws are
+    ``rng.random((samples, L, 2))`` in C order, one modulus
+    lo + (hi - lo) u then one phase exp(2 pi i u) per letter per sample,
+    letters in alphabet order: the stream ``rng.uniform`` calls in that
+    order would consume.  Up to ``_SAMPLE_BLOCK`` families are drawn and
+    scored by one ``unitarity_residuals`` call, so memory stays bounded
+    for any sample count.
     """
-    labels = template.presentation.alphabet
+    alphabet = template.presentation.alphabet
+    lo, hi = modulus_range
     rejected = 0
     min_residual = np.inf
-    for _ in range(samples):
-        amplitudes = {
-            g: rng.uniform(*modulus_range) * np.exp(2j * np.pi * rng.uniform())
-            for g in labels
-        }
-        residual, _ = unitarity_residual(_scalar_walk(template, amplitudes))
-        min_residual = min(min_residual, residual)
-        if residual >= threshold:
-            rejected += 1
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        u = rng.random((min(_SAMPLE_BLOCK, samples - start), len(alphabet), 2))
+        scalars = (lo + (hi - lo) * u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
+        residuals, _ = unitarity_residuals(template.tiling, alphabet, scalars[..., None, None])
+        rejected += int(np.count_nonzero(residuals >= threshold))
+        min_residual = min(min_residual, float(residuals.min()))
     return rejected, float(min_residual)
 
 

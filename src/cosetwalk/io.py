@@ -210,6 +210,20 @@ def load_walk(path: str | Path) -> WalkSpec:
     return loads_walk(Path(path).read_text(encoding="utf-8"))
 
 
+def _write_rows(stream: IO[str], table: np.ndarray, formats: list[str]) -> None:
+    """One CSV row per table row, field i printed with ``formats[i]``.
+
+    + 0.0 turns -0.0 into 0.0, as _format_float does, so "%.17g" fields
+    match it; "%d" prints an integral float as str(int) would.  Rows are
+    formatted a block at a time so only one block of Python floats is
+    alive at once.
+    """
+    template = ",".join(formats) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        rows = (table[start:start + _CSV_BLOCK_ROWS] + 0.0).tolist()
+        stream.writelines([template % tuple(row) for row in rows])
+
+
 def write_dispersion_csv(grid: DispersionGrid, stream: IO[str]) -> None:
     """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point,
     phases ascending.  Fields are written as ``_format_float`` writes them."""
@@ -217,13 +231,7 @@ def write_dispersion_csv(grid: DispersionGrid, stream: IO[str]) -> None:
     bands = grid.band_count
     header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(bands)]
     stream.write(",".join(header) + "\n")
-    # + 0.0 turns -0.0 into 0.0, as _format_float does; rows are formatted a
-    # block at a time so only one block of Python floats is alive at once
-    table = np.hstack([grid.kpoints, grid.phases]) + 0.0
-    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        rows = table[start:start + _CSV_BLOCK_ROWS].tolist()
-        stream.writelines([template % tuple(row) for row in rows])
+    _write_rows(stream, np.hstack([grid.kpoints, grid.phases]), ["%.17g"] * (d + bands))
 
 
 def save_dispersion_csv(grid: DispersionGrid, path: str | Path) -> None:
@@ -235,13 +243,13 @@ def write_probability_csv(state: LatticeState, stream: IO[str]) -> None:
     """Site coordinates, coset index, probability; sites in row-major order."""
     probabilities = probability_map(state)
     d = len(state.sizes)
-    cosets = probabilities.shape[-1]
     header = [f"site_{i + 1}" for i in range(d)] + ["coset", "probability"]
     stream.write(",".join(header) + "\n")
-    for site in np.ndindex(*state.sizes):
-        for j in range(cosets):
-            row = [str(x) for x in site] + [str(j), _format_float(probabilities[site + (j,)])]
-            stream.write(",".join(row) + "\n")
+    flat = probabilities.ravel()
+    for start in range(0, flat.size, _CSV_BLOCK_ROWS):
+        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, flat.size))
+        block = np.column_stack(np.unravel_index(index, probabilities.shape) + (flat[index],))
+        _write_rows(stream, block, ["%d"] * (d + 1) + ["%.17g"])
 
 
 def save_probability_csv(state: LatticeState, path: str | Path) -> None:

@@ -7,13 +7,19 @@ pair sums  sum_{g g'^-1 = f} A_g A_{g'}^dag  and  sum_{g^-1 g' = f}
 A_g^dag A_{g'}  vanish for f != e and equal the identity for f = e; the
 validator buckets all ordered generator pairs by the exact canonical form
 of f and reports the worst operator-norm deviation.
+
+The buckets of a tiling are cached as index arrays into the stack of all
+pair products, so ``unitarity_residuals`` scores a whole stack of families
+(B, L, s, s) with one matmul per side, one gathered add per pair slot and
+one batched operator-norm call; ``unitarity_residual`` is that kernel on
+a stack of one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -114,31 +120,87 @@ class IsotropySpec:
         object.__setattr__(self, "coin_unitary", u)
 
 
-@lru_cache(maxsize=None)
-def _pair_buckets(
-    tiling: TilingData, alphabet: tuple[GeneratorLabel, ...]
-) -> tuple[
-    dict[GroupElement, tuple[tuple[GeneratorLabel, GeneratorLabel], ...]],
-    dict[GroupElement, tuple[tuple[GeneratorLabel, GeneratorLabel], ...]],
-]:
-    """Ordered generator pairs grouped by exact canonical products.
+class _PairBuckets(NamedTuple):
+    """Bucket index arrays for one tiling and alphabet (see ``_pair_buckets``)."""
 
-    left buckets:  f = g g'^-1   (for sums A_g A_{g'}^dag)
-    right buckets: f = g^-1 g'   (for sums A_g^dag A_{g'})
+    products: tuple[GroupElement, ...]
+    pairs: np.ndarray
+    columns: np.ndarray
+    identity_rows: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _pair_buckets(tiling: TilingData, alphabet: tuple[GeneratorLabel, ...]) -> _PairBuckets:
+    """Ordered letter pairs grouped by the exact canonical product f.
+
+    Bucket rows are the left buckets, f = g g'^-1 (sums A_g A_{g'}^dag), then
+    the right buckets, f = g^-1 g' (sums A_g^dag A_{g'}), each side in
+    order of first appearance over (g, g') in alphabet order.  ``pairs[r]``
+    lists the positions of bucket r's pairs in the product stack of
+    ``unitarity_residuals``: i L + j for the left pair (alphabet[i],
+    alphabet[j]), L^2 + i L + j for the right one, and 2 L^2 (a zero
+    product) as padding.  ``products`` holds the report keys (the left
+    products, then the right products not among them), ``columns[r]`` the
+    report column of row r, and ``identity_rows`` the identity bucket row
+    of each side.
     """
     identity = GroupElement.identity(tiling.dimension)
-    left: dict[GroupElement, list[tuple[GeneratorLabel, GeneratorLabel]]] = {}
-    right: dict[GroupElement, list[tuple[GeneratorLabel, GeneratorLabel]]] = {}
-    for g in alphabet:
-        for gp in alphabet:
+    size = len(alphabet)
+    sides: tuple[dict[GroupElement, list[int]], dict[GroupElement, list[int]]] = ({}, {})
+    for i, g in enumerate(alphabet):
+        for j, gp in enumerate(alphabet):
             f_left = right_multiply(right_multiply(identity, g, tiling), gp.inverse(), tiling)
             f_right = right_multiply(right_multiply(identity, g.inverse(), tiling), gp, tiling)
-            left.setdefault(f_left, []).append((g, gp))
-            right.setdefault(f_right, []).append((g, gp))
-    return (
-        {f: tuple(pairs) for f, pairs in left.items()},
-        {f: tuple(pairs) for f, pairs in right.items()},
+            sides[0].setdefault(f_left, []).append(i * size + j)
+            sides[1].setdefault(f_right, []).append(size * size + i * size + j)
+    rows = [(f, positions) for side in sides for f, positions in side.items()]
+    products = tuple(dict.fromkeys(f for f, _ in rows))
+    column = {f: c for c, f in enumerate(products)}
+    width = max(len(positions) for _, positions in rows)
+    pad = 2 * size * size
+    pairs = np.array([positions + [pad] * (width - len(positions)) for _, positions in rows])
+    identity_rows = [r for r, (f, _) in enumerate(rows) if f == identity]
+    return _PairBuckets(
+        products, pairs, np.array([column[f] for f, _ in rows]), np.array(identity_rows)
     )
+
+
+def unitarity_residuals(
+    tiling: TilingData, alphabet: tuple[GeneratorLabel, ...], matrices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint residuals of a stack of transition families in one pass.
+
+    ``matrices`` has shape (B, L, s, s): B families, each with one s x s
+    matrix per letter of ``alphabet`` (L letters, in that order).  Returns
+    the worst deviation of each family, shape (B,), and the per-product
+    deviations, shape (B, P), with column p for the product
+    ``_pair_buckets(tiling, alphabet).products[p]``.  All L^2 products of a
+    side are formed with one matmul, each bucket sums its pairs in table
+    order starting from zero, and every bucket norm comes from one
+    ``operator_norm`` call; every family is scored, unitary or not.
+    """
+    buckets = _pair_buckets(tiling, alphabet)
+    mats = np.asarray(matrices, dtype=complex)
+    size = len(alphabet)
+    if mats.ndim != 4 or mats.shape[1] != size or mats.shape[2] != mats.shape[3]:
+        raise ValueError(f"matrices have shape {mats.shape}, expected (B, {size}, s, s)")
+    batch, s = mats.shape[0], mats.shape[-1]
+    adj = adjoint(mats)
+    stack = np.concatenate(
+        [
+            (mats[:, :, None] @ adj[:, None]).reshape(batch, size * size, s, s),
+            (adj[:, :, None] @ mats[:, None]).reshape(batch, size * size, s, s),
+            np.zeros((batch, 1, s, s), dtype=complex),
+        ],
+        axis=1,
+    )
+    sums = np.zeros((batch, len(buckets.pairs), s, s), dtype=complex)
+    for slot in buckets.pairs.T:
+        sums += stack[:, slot]
+    sums[:, buckets.identity_rows] -= np.eye(s)
+    deviations = np.zeros((batch, len(buckets.products)))
+    np.maximum.at(deviations.T, buckets.columns, operator_norm(sums).T)
+    return deviations.max(axis=1, initial=0.0), deviations
 
 
 def unitarity_residual(walk: WalkSpec) -> tuple[float, dict[GroupElement, float]]:
@@ -147,26 +209,16 @@ def unitarity_residual(walk: WalkSpec) -> tuple[float, dict[GroupElement, float]
     For each canonical product f the report carries the larger of the two
     deviations ||sum A_g A_{g'}^dag - target|| and ||sum A_g^dag A_{g'} -
     target|| with target I for f = e and 0 otherwise.  A residual of zero is
-    equivalent to a unitary walk operator.
+    equivalent to a unitary walk operator.  The walk is scored as a stack
+    of one by ``unitarity_residuals``.
     """
-    tiling = walk.tiling
-    s = walk.coin_dim
-    identity_element = GroupElement.identity(tiling.dimension)
-    eye = np.eye(s)
-    left, right = _pair_buckets(tiling, walk.presentation.alphabet)
-    report: dict[GroupElement, float] = {}
+    alphabet = walk.presentation.alphabet
     mats = walk.transitions.matrices
-    for buckets, combine in ((left, lambda a, b: a @ adjoint(b)), (right, lambda a, b: adjoint(a) @ b)):
-        for f, pairs in buckets.items():
-            acc = np.zeros((s, s), dtype=complex)
-            for g, gp in pairs:
-                acc += combine(mats[g], mats[gp])
-            if f == identity_element:
-                acc -= eye
-            deviation = operator_norm(acc)
-            report[f] = max(report.get(f, 0.0), deviation)
-    residual = max(report.values(), default=0.0)
-    return residual, report
+    residuals, deviations = unitarity_residuals(
+        walk.tiling, alphabet, np.stack([mats[g] for g in alphabet])[None]
+    )
+    products = _pair_buckets(walk.tiling, alphabet).products
+    return float(residuals[0]), dict(zip(products, deviations[0].tolist()))
 
 
 def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:

@@ -5,14 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
+from cosetwalk.evolve import evolve, make_delta, probability_map
 from cosetwalk.io import (
     WalkFileError,
+    _format_float,
     dumps_walk,
     loads_walk,
     save_dispersion_csv,
     write_dispersion_csv,
+    write_probability_csv,
 )
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import unitarity_residual
@@ -220,6 +224,105 @@ def test_cli_non_unitary_walk_fails_with_one_line(capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: unitarity defect")
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("fixture", ["g1_a_doubled.json", "g1_row_dropped.json"])
+def test_cli_evolve_rejects_a_broken_walk_before_stepping(fixture, monkeypatch, capsys):
+    # the doubled a matrix breaks unitarity; the dropped last table row
+    # breaks the tiling (both used to evolve with exit 0 and a large drift)
+    monkeypatch.setattr(cli, "evolve", lambda *args: pytest.fail("stepped a broken walk"))
+    assert main(["evolve", str(FIXTURES / fixture), "--torus", "16", "--steps", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert ("unitarity residual" if "doubled" in fixture else "invalid tiling") in lines[0]
+
+
+def test_cli_validate_incomplete_table_fails_without_traceback(capsys):
+    assert main(["validate", str(FIXTURES / "g1_row_dropped.json")]) == 1
+    captured = capsys.readouterr()
+    assert "missing row for (b^-1, j=3)" in captured.out
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["dispersion", "--example", "g1", "--grid", "100000"], "dispersion_grid"),
+    (["dispersion", "--example", "g2", "--grid", "2049"], "dispersion_grid"),
+    (["evolve", "--example", "g1", "--torus", "100000"], "make_delta"),
+    (["evolve", "--example", "g2", "--torus", "2049", "--init", "planewave"], "make_plane_wave"),
+])
+def test_cli_sizes_over_the_cap_fail_before_allocating(argv, builder, monkeypatch, capsys):
+    monkeypatch.setattr(cli, builder, lambda *args: pytest.fail("allocated past the cap"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
+
+
+def test_cli_size_cap_admits_the_benchmark_sizes():
+    # g1 dispersion at grid 129 and g1 evolve at torus 128, with 8x headroom
+    assert 129**2 * 8**2 * 8 < cli.MAX_ARRAY_ENTRIES
+    assert 128**2 * 8 * 8 < cli.MAX_ARRAY_ENTRIES
+
+
+def _per_row_probability_csv(state):
+    """The former per-site writer, kept as the reference."""
+    probabilities = probability_map(state)
+    d = len(state.sizes)
+    lines = [",".join([f"site_{i + 1}" for i in range(d)] + ["coset", "probability"])]
+    for site in np.ndindex(*state.sizes):
+        for j in range(probabilities.shape[-1]):
+            row = [str(x) for x in site] + [str(j), _format_float(probabilities[site + (j,)])]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("maker, size, steps", [
+    (lambda: ex.g1_walk(ex.G1Params("I", 0.6, 0.8, 1)), 12, 7),
+    (lambda: ex.g2_walk("II"), 9, 4),
+    (lambda: ex.g2_walk("I"), 8, 0),
+    (lambda: ex.g1_walk(ex.G1Params("II", 0.8, 0.6, -1)), 17, 5),
+], ids=["g1", "g2", "g2-delta", "g1-two-blocks"])
+def test_probability_csv_matches_per_row_formatting(maker, size, steps):
+    walk = maker()
+    state = evolve(walk, make_delta(walk, size), steps)
+    stream = io.StringIO()
+    write_probability_csv(state, stream)
+    assert stream.getvalue() == _per_row_probability_csv(state)
+
+
+def _suite_stdout(closure, rejected, smallest):
+    return (
+        "PASS  g1_family_constraints: 20 members, worst unitarity 1.11e-16, "
+        "worst swap/sigma_x covariance 0.00e+00\n"
+        f"PASS  g1_left_multiplication_closure: 21 extra mixing unitaries, worst residual {closure}\n"
+        "PASS  g2_solutions: worst constraint residual 4.89e-16, "
+        "anti-unitary map entrywise deviation 0.00e+00\n"
+        f"PASS  scalar_walks_rejected: {rejected}/{rejected} and {rejected}/{rejected} "
+        f"rejected, smallest residual {smallest}\n"
+        "PASS  g1_class_distinction: class I pairs each inverse with its own letter, "
+        "class II crosses them\n"
+    )
+
+
+@pytest.mark.parametrize("samples, seed, closure, smallest", [
+    (20, 0, "3.42e-16", "2.328e-01"),
+    (20, 77, "2.78e-16", "2.140e-01"),
+    (200, 0, "3.42e-16", "1.973e-01"),
+    (200, 77, "2.78e-16", "1.837e-01"),
+    (1000, 0, "3.42e-16", "1.626e-01"),
+    (1000, 77, "2.78e-16", "1.757e-01"),
+])
+def test_cli_suite_output_is_pinned(samples, seed, closure, smallest, capsys):
+    # captured from the per-family scorer the batched kernel replaced
+    assert main(["suite", "--samples", str(samples), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == _suite_stdout(closure, samples, smallest)
 
 
 def test_cli_missing_source(capsys):
