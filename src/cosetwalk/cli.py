@@ -3,12 +3,14 @@
 Subcommands: validate, dispersion, evolve, show-example, suite.
 Exit codes: 0 success, 1 validation/oracle failure, a non-unitary walk
 (NonUnitaryError / EigensolveError from the eigen kernel) or an invalid
-tiling (TilingError), 2 usage or parse error.  ``evolve`` checks the
-tiling and the unitarity residual (to UNITARITY_TOLERANCE) of its walk
-before stepping.  Array sizes the user picks are bounded before anything
-is allocated: the ``dispersion`` operator stack (grid^d (l s)^2 entries)
-and the ``evolve`` state (torus^d l s entries) may hold at most
-MAX_ARRAY_ENTRIES complex entries (256 MiB).
+tiling (TilingError), 2 usage or parse error.  ``dispersion`` and
+``evolve`` check the tiling of their walk right after resolving it;
+``evolve`` also checks the unitarity residual (to UNITARITY_TOLERANCE)
+there, while ``dispersion`` leaves unitarity to the eigen kernel.  Array
+sizes the user picks are bounded before anything is allocated: the
+``dispersion`` operator stack (grid^d (l s)^2 entries) and the ``evolve``
+state (torus^d l s entries) may hold at most MAX_ARRAY_ENTRIES complex
+entries (256 MiB).
 """
 
 from __future__ import annotations
@@ -86,11 +88,16 @@ def _bound_entries(entries: int, what: str) -> None:
         )
 
 
-def _check_walk(walk: WalkSpec) -> None:
-    """Raise TilingError or NonUnitaryError unless the walk validates."""
+def _check_tiling(walk: WalkSpec) -> None:
+    """Raise TilingError naming the first problem unless the tiling validates."""
     report = validate_tiling(walk.tiling, walk.presentation)
     if not report.ok:
-        raise TilingError(f"invalid tiling: {report.problems[0]}")
+        raise TilingError(f"invalid tiling: {report.problems[0].message}")
+
+
+def _check_walk(walk: WalkSpec) -> None:
+    """Raise TilingError or NonUnitaryError unless the walk validates."""
+    _check_tiling(walk)
     residual, _ = unitarity_residual(walk)
     if residual > UNITARITY_TOLERANCE:
         raise NonUnitaryError(
@@ -149,6 +156,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
     walk, kind = _resolve_walk(args)
+    _check_tiling(walk)
     if args.oracle and kind not in ("g1", "g2"):
         raise UsageError("--oracle requires --example g1 or g2")
     _bound_entries(
@@ -177,10 +185,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
     walk, _ = _resolve_walk(args)
+    _check_walk(walk)
     _bound_entries(
         args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}"
     )
-    _check_walk(walk)
     if args.init == "delta":
         state = make_delta(walk, args.torus)
     else:

@@ -3,12 +3,18 @@
 The state holds one amplitude per (site, coset, coin) cell.  A step sends
 the (v, j) component through every alphabet letter g: the amplitude block
 A_g psi(v, j) accumulates at site v - h_{j,g} (mod N) in coset target(g, j).
-The torus must be wide enough that no displacement wraps onto itself within
-a single step.
+Grouping the table rules by displacement gives the coarse-grained walk on
+Z^d with an (l s)-dimensional coin, W = sum_h T_h (x) B_h: T_h translates by
+h and block (target, coset) of B_h sums the A_g of the rules with shift h
+that map coset to target, the same layout as ``coarse.kspace_operators``
+(U(k) = sum_h e^{-i k.h} B_h).  ``step`` applies W as one fiber matmul and
+one wrapped shift-add per distinct displacement.  The torus must be wide
+enough that no displacement wraps onto itself within a single step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,18 +116,59 @@ def make_plane_wave(
     return LatticeState(sizes, amps)
 
 
-def step(walk: WalkSpec, state: LatticeState) -> LatticeState:
-    """One application of the walk operator; norm preserved for unitary walks."""
-    _check_torus(walk, state.sizes)
-    d = walk.tiling.dimension
-    amps = state.amplitudes
-    out = np.zeros_like(amps)
+def shift_blocks(walk: WalkSpec) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Distinct displacements h and their fiber blocks B_h, transposed.
+
+    Returns the shifts, zero shift first (with a zero block when no rule
+    stays put), and an array (len(shifts), l s, l s) whose entry i is B_h^T
+    for h = shifts[i], so that ``fiber @ blocks[i]`` applies B_h to a row of
+    fiber vectors.  Rows sharing (shift, coset, target) add into one block.
+    """
+    s = walk.coin_dim
+    zero = (0,) * walk.tiling.dimension
+    shifts = [zero] + sorted({rule.shift for rule in walk.tiling.rules} - {zero})
+    position = {h: i for i, h in enumerate(shifts)}
+    blocks = np.zeros((len(shifts), walk.block_dim, walk.block_dim), dtype=complex)
     for rule in walk.tiling.rules:
-        block = walk.transitions.matrix(rule.generator)
-        # psi'(v - h, target) += A_g psi(v, coset): roll by -h brings psi(v + h) to v
-        shifted = np.roll(amps[..., rule.coset, :], tuple(-s for s in rule.shift), axis=tuple(range(d)))
-        out[..., rule.target, :] += shifted @ block.T
-    return LatticeState(state.sizes, out)
+        rows = slice(s * rule.coset, s * rule.coset + s)
+        cols = slice(s * rule.target, s * rule.target + s)
+        blocks[position[rule.shift], rows, cols] += walk.transitions.matrix(rule.generator).T
+    return tuple(shifts), blocks
+
+
+def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...]):
+    """(destination, source) slice pairs with out[v] += term[(v + shift) mod sizes]."""
+    per_axis = []
+    for n, h in zip(sizes, shift):
+        h %= n
+        if h == 0:
+            per_axis.append([(slice(None), slice(None))])
+        else:
+            per_axis.append([(slice(0, n - h), slice(h, n)), (slice(n - h, n), slice(0, h))])
+    for combo in itertools.product(*per_axis):
+        yield tuple(dst for dst, _ in combo), tuple(src for _, src in combo)
+
+
+def step(walk: WalkSpec, state: LatticeState) -> LatticeState:
+    """One application of the walk operator; norm preserved for unitary walks.
+
+    psi'(v) = sum_h B_h psi(v + h): one (sites, l s) @ (l s, l s) product
+    per distinct shift, added into the output through wrapped slices.
+    """
+    _check_torus(walk, state.sizes)
+    shifts, blocks = shift_blocks(walk)
+    fiber = state.amplitudes.reshape(-1, walk.block_dim)
+    out = fiber @ blocks[0]
+    # products land in one reused buffer and are added through slices:
+    # np.roll would allocate a fresh state-sized array per shift
+    term = np.empty_like(out)
+    out_sites = out.reshape(state.sizes + (walk.block_dim,))
+    term_sites = term.reshape(out_sites.shape)
+    for shift, block in zip(shifts[1:], blocks[1:]):
+        np.matmul(fiber, block, out=term)
+        for dst, src in _wrapped_pieces(state.sizes, shift):
+            out_sites[dst] += term_sites[src]
+    return LatticeState(state.sizes, out.reshape(state.amplitudes.shape))
 
 
 def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:

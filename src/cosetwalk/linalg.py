@@ -7,7 +7,9 @@ eigensolver: it takes a stack (..., n, n) and solves every matrix in one
 ``np.linalg.eig`` call.  Eigenvalues of a unitary U are written
 e^{-i omega} with omega in (-pi, pi]; every input must pass the unitarity
 bound ||U^dag U - I||_2 <= 1e-8 and every eigenpair returned is verified
-against the residual bound ||U v - e^{-i omega} v|| <= 1e-10 ||v||.
+against the residual bound ||U v - e^{-i omega} v|| <= 1e-10 ||v||; an
+eigenvalue modulus off 1 by more than 1e-10 fails that certificate and is
+reported as a non-unitary input.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     or an eigenpair misses DEFAULT_RESIDUAL_TOL; both name the first
     failing stack index.  This operator-norm check is tighter than the
     entrywise L1 bound (1e-8 * n) that dispersion grids used to apply.
+
+    The residual certificate measures U v against e^{-i omega} v, which has
+    modulus 1, so a matrix with an eigenvalue modulus off 1 by more than
+    DEFAULT_RESIDUAL_TOL fails it: the effective unitarity bound is about
+    1e-10 in eigenvalue modulus, not 1e-8.  Such a failure raises
+    NonUnitaryError ("eigenvalue modulus defect") naming the stack index;
+    a residual miss with every eigenvalue on the circle stays an
+    EigensolveError.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
@@ -129,7 +139,15 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat @ vectors - vectors * np.exp(-1j * phases)[:, None, :], axis=-2
     ) / np.linalg.norm(vectors, axis=-2)
     worst = residuals.max(axis=-1, initial=0.0)
-    _check_bound(worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual")
+    if not (worst <= DEFAULT_RESIDUAL_TOL).all():
+        # the certificate rebuilds each eigenvalue on the unit circle, so an
+        # eigenvalue off it by more than the bound is the input's fault
+        modulus = np.abs(np.abs(values) - 1.0).max(axis=-1, initial=0.0)
+        _check_bound(
+            np.where(modulus > DEFAULT_RESIDUAL_TOL, modulus, 0.0), DEFAULT_RESIDUAL_TOL,
+            batch, NonUnitaryError, "eigenvalue modulus defect",
+        )
+        _check_bound(worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual")
     return phases.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
+from cosetwalk.coarse import kspace_operators
 from cosetwalk.evolve import (
     LatticeState,
     TorusSizeError,
@@ -12,9 +14,11 @@ from cosetwalk.evolve import (
     make_plane_wave,
     minimum_torus_size,
     probability_map,
+    shift_blocks,
     step,
 )
-from cosetwalk.groups import generator_pair
+from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
+from cosetwalk.walks import TransitionFamily, WalkSpec
 
 from test_coarse import shift_walk_1d
 
@@ -141,3 +145,141 @@ def test_plane_wave_is_stationary(g2_one):
 def test_state_shape_validation():
     with pytest.raises(ValueError):
         LatticeState((4, 4), np.zeros((4, 3, 2, 2)))
+
+
+# --- the per-shift step against the per-rule step ---------------------------
+
+
+def per_rule_step(walk, state):
+    """Reference step: one roll, one coin matmul and one add per table rule."""
+    d = walk.tiling.dimension
+    amps = state.amplitudes
+    out = np.zeros_like(amps)
+    for rule in walk.tiling.rules:
+        block = walk.transitions.matrix(rule.generator)
+        shifted = np.roll(amps[..., rule.coset, :], tuple(-s for s in rule.shift), axis=tuple(range(d)))
+        out[..., rule.target, :] += shifted @ block.T
+    return LatticeState(state.sizes, out)
+
+
+def per_rule_evolve(walk, state, steps):
+    for _ in range(steps):
+        state = per_rule_step(walk, state)
+    return state
+
+
+def random_state(rng, walk, sizes):
+    shape = tuple(sizes) + (walk.tiling.index, walk.coin_dim)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return LatticeState(tuple(sizes), amps / np.linalg.norm(amps))
+
+
+def shared_slot_walk(rng):
+    """Index-1 walk on Z where t and u both move coset 0 to 0 by +1 (and
+    their inverses by -1), so two rules add into each nonzero shift block."""
+    t, t_inv = generator_pair("t")
+    u, u_inv = generator_pair("u")
+    tiling = TilingData(
+        dimension=1,
+        index=1,
+        rep_words=((),),
+        rules=(
+            TilingRule(t, 0, 0, (1,)),
+            TilingRule(t_inv, 0, 0, (-1,)),
+            TilingRule(u, 0, 0, (1,)),
+            TilingRule(u_inv, 0, 0, (-1,)),
+        ),
+    )
+    matrices = {
+        g: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for g in (t, t_inv, u, u_inv)
+    }
+    return WalkSpec(GroupPresentation((t, u), ()), tiling, TransitionFamily(2, matrices))
+
+
+G1_VARIANTS = [
+    ex.G1Params("I", 0.6, 0.8, 1),
+    ex.G1Params("I", 0.6, 0.8, -1),
+    ex.G1Params("II", 0.6, 0.8, 1),
+    ex.G1Params("II", 0.8, 0.6, -1),
+]
+ALL_WALKS = [ex.g1_walk(p) for p in G1_VARIANTS] + [ex.g2_walk("I"), ex.g2_walk("II")]
+WALK_IDS = ["g1-I+", "g1-I-", "g1-II+", "g1-II-", "g2-I", "g2-II"]
+
+
+@pytest.mark.parametrize("walk", ALL_WALKS, ids=WALK_IDS)
+@pytest.mark.parametrize("steps", [1, 20])
+def test_step_matches_the_per_rule_step(walk, steps):
+    for state in (make_delta(walk, 32), make_plane_wave(walk, 16, (1, 2), band=1)):
+        stepped = evolve(walk, state, steps).amplitudes
+        reference = per_rule_evolve(walk, state, steps).amplitudes
+        assert np.abs(stepped - reference).max() <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [1, 20])
+def test_step_matches_the_per_rule_step_on_a_line_and_a_rectangle(rng, g1_massive, g2_two, steps):
+    line = shift_walk_1d()
+    cases = [(line, make_delta(line, 8)), (line, random_state(rng, line, (9,)))]
+    cases += [(walk, random_state(rng, walk, (8, 12))) for walk in (g1_massive, g2_two)]
+    for walk, state in cases:
+        stepped = evolve(walk, state, steps).amplitudes
+        reference = per_rule_evolve(walk, state, steps).amplitudes
+        assert stepped.shape == state.amplitudes.shape
+        assert np.abs(stepped - reference).max() <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.sampled_from(["g1", "g2"]),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(3, 7), st.integers(3, 7)),
+)
+def test_step_matches_the_per_rule_step_for_any_coin_matrices(which, seed, sizes):
+    # the blocks are summed from the table, not from a unitary walk: random
+    # complex matrices (not unitary) must give the per-rule result too
+    rng = np.random.default_rng(seed)
+    base = ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)) if which == "g1" else ex.g2_walk("I")
+    s = base.coin_dim
+    matrices = {
+        g: rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        for g in base.presentation.alphabet
+    }
+    walk = WalkSpec(base.presentation, base.tiling, TransitionFamily(s, matrices))
+    state = random_state(rng, walk, sizes)
+    stepped = evolve(walk, state, 2).amplitudes
+    reference = per_rule_evolve(walk, state, 2).amplitudes
+    # reordered sums of O(10) terms per entry: a few ulps of the largest entry
+    assert np.abs(stepped - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+
+def test_rules_sharing_a_slot_add_into_one_block(rng):
+    walk = shared_slot_walk(rng)
+    (t, t_inv), (u, u_inv) = generator_pair("t"), generator_pair("u")
+    shifts, blocks = shift_blocks(walk)
+    assert shifts == ((0,), (-1,), (1,))
+    assert not blocks[0].any()  # no rule stays put
+    m = walk.transitions.matrix
+    assert_allclose(blocks[2], (m(t) + m(u)).T, rtol=0, atol=1e-15)
+    assert_allclose(blocks[1], (m(t_inv) + m(u_inv)).T, rtol=0, atol=1e-15)
+    state = random_state(rng, walk, (7,))
+    for steps in (1, 5):
+        stepped = evolve(walk, state, steps).amplitudes
+        reference = per_rule_evolve(walk, state, steps).amplitudes
+        assert np.abs(stepped - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("walk", ALL_WALKS + [shift_walk_1d()], ids=WALK_IDS + ["line"])
+def test_shift_blocks_sum_to_the_kspace_operator(walk, rng):
+    # U(k) = sum_h e^{-i k.h} B_h: stepping uses the paper's coarse-grained walk
+    shifts, blocks = shift_blocks(walk)
+    assert shifts[0] == (0,) * walk.tiling.dimension and len(set(shifts)) == len(shifts)
+    kpoints = rng.uniform(-np.pi, np.pi, (12, walk.tiling.dimension))
+    phases = np.exp(-1j * kpoints @ np.asarray(shifts, dtype=float).T)
+    summed = np.einsum("kh,hij->kji", phases, blocks)
+    assert np.abs(summed - kspace_operators(walk, kpoints)).max() <= 1e-14
+
+
+def test_zero_steps_return_the_input_and_small_tori_still_fail(g1_massive):
+    state = make_delta(g1_massive, 8)
+    assert evolve(g1_massive, state, 0).amplitudes.tobytes() == state.amplitudes.tobytes()
+    with pytest.raises(TorusSizeError):
+        step(g1_massive, LatticeState((2, 8), np.zeros((2, 8, 4, 2), dtype=complex)))

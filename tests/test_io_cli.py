@@ -250,6 +250,19 @@ def test_cli_validate_incomplete_table_fails_without_traceback(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+
+def test_cli_dispersion_rejects_an_invalid_tiling_before_solving(tmp_path, monkeypatch, capsys):
+    # the tiling is checked before any operator is built, so the missing row
+    # is named instead of the unitarity defect it causes
+    monkeypatch.setattr(cli, "dispersion_grid", lambda *args: pytest.fail("solved a broken tiling"))
+    out = tmp_path / "rows.csv"
+    argv = ["dispersion", str(FIXTURES / "g1_row_dropped.json"), "--grid", "5", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid tiling: missing row for (b^-1, j=3)\n"
+    assert not out.exists()
+
 @pytest.mark.parametrize("argv, builder", [
     (["dispersion", "--example", "g1", "--grid", "100000"], "dispersion_grid"),
     (["dispersion", "--example", "g2", "--grid", "2049"], "dispersion_grid"),

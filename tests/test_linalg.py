@@ -153,6 +153,31 @@ def test_bad_matrices_in_a_stack_name_the_first_index(rng):
         eigenpairs(stack)
 
 
+
+def test_eigenvalue_off_the_circle_blames_the_input(rng):
+    # 2-norm defect ~1e-9 passes the 1e-8 unitarity screen, but the
+    # eigenvalue moduli move by more than the 1e-10 residual bound
+    q = _random_unitary(rng, 4)
+    u = q.copy()
+    u[0, 0] += 1e-9
+    assert 1e-10 < unitarity_defect(u) < 1e-8
+    with pytest.raises(NonUnitaryError, match=r"eigenvalue modulus defect .* at stack index \(2,\)"):
+        eigenpairs(np.stack([q, q, u]))
+    with pytest.raises(NonUnitaryError, match="eigenvalue modulus defect"):
+        eigenpairs(u)
+
+
+def test_residual_miss_on_the_circle_stays_a_solver_error(rng, monkeypatch):
+    solve = np.linalg.eig
+
+    def sloppy(a):
+        values, vectors = solve(a)
+        return values, vectors + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eig", sloppy)
+    with pytest.raises(EigensolveError, match=r"eigenpair residual .* at stack index \(1,\)"):
+        eigenpairs(np.stack([np.eye(3), _random_unitary(rng, 3)]))
+
 # --- phase wrapping and multiset comparison --------------------------------
 
 
