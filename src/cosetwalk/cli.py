@@ -1,22 +1,24 @@
 """Command-line front end.
 
 Subcommands: validate, dispersion, evolve, show-example, suite.
-Exit codes: 0 success, 1 validation/oracle failure, a non-unitary walk
-(NonUnitaryError / EigensolveError from the eigen kernel) or an invalid
-tiling (TilingError), 2 usage or parse error.  ``dispersion`` and
-``evolve`` check the tiling of their walk right after resolving it;
-``evolve`` also checks the unitarity residual (to UNITARITY_TOLERANCE)
-there, while ``dispersion`` leaves unitarity to the eigen kernel.  Array
-sizes the user picks are bounded before anything is allocated: the
-``dispersion`` operator stack (grid^d (l s)^2 entries) and the ``evolve``
-state (torus^d l s entries) may hold at most MAX_ARRAY_ENTRIES complex
-entries (256 MiB).
+Exit codes: 0 success; 1 validation/oracle failure, an invalid tiling
+(TilingError) or a non-unitary walk (NonUnitaryError / EigensolveError);
+2 usage or parse error.  Every error is one line on stderr.  ``dispersion``
+and ``evolve`` load their walk through ``_checked_walk``, which applies the
+tiling check and the unitarity bound (UNITARITY_TOLERANCE) of ``validate``;
+every bound is written ``not x <= tol``, so NaN fails it.  Array sizes the
+user picks are bounded before anything is allocated: the ``dispersion``
+operator stack (grid^d (l s)^2 entries) and the ``evolve`` state
+(torus^d l s entries) may hold at most MAX_ARRAY_ENTRIES complex entries
+(256 MiB).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
+
 from . import examples
 from .evolve import TorusSizeError, evolve, make_delta, make_plane_wave
 from .groups import TilingError, validate_tiling
@@ -64,20 +66,20 @@ def _g1_params(fields: dict[str, str]) -> examples.G1Params:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, str]:
-    """Walk from --example (with --params) or from a walk-spec file."""
-    fields = _parse_params(getattr(args, "params", None))
+def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
+    """Walk from --example (with --params) or from a walk-spec file, paired
+    with the example's closed-form phases (None for a file)."""
+    fields = _parse_params(args.params)
     if args.example:
         g1_params = _g1_params(fields) if args.example == "g1" else None
         try:
-            walk = examples.builtin_walk(
+            return examples.builtin_walk(
                 args.example, g1_params=g1_params, g2_variant=fields.get("class", "I")
             )
         except (KeyError, ValueError) as exc:
             raise UsageError(exc.args[0]) from exc
-        return walk, args.example
     if args.path:
-        return load_walk(args.path), "file"
+        return load_walk(args.path), None
     raise UsageError("provide a walk-spec file or --example g1|g2")
 
 
@@ -88,21 +90,21 @@ def _bound_entries(entries: int, what: str) -> None:
         )
 
 
-def _check_tiling(walk: WalkSpec) -> None:
-    """Raise TilingError naming the first problem unless the tiling validates."""
+def _checked_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
+    """``_resolve_walk``, then the tiling and unitarity checks of ``validate``.
+
+    Raises TilingError or NonUnitaryError naming the first problem.
+    """
+    walk, closed_form = _resolve_walk(args)
     report = validate_tiling(walk.tiling, walk.presentation)
     if not report.ok:
         raise TilingError(f"invalid tiling: {report.problems[0].message}")
-
-
-def _check_walk(walk: WalkSpec) -> None:
-    """Raise TilingError or NonUnitaryError unless the walk validates."""
-    _check_tiling(walk)
     residual, _ = unitarity_residual(walk)
-    if residual > UNITARITY_TOLERANCE:
+    if not residual <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(
             f"unitarity residual {residual:.3e} exceeds {UNITARITY_TOLERANCE:.1e}"
         )
+    return walk, closed_form
 
 
 def _add_walk_source(parser: argparse.ArgumentParser) -> None:
@@ -116,6 +118,10 @@ def _add_walk_source(parser: argparse.ArgumentParser) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     walk, _ = _resolve_walk(args)
+    if args.isotropy and (
+        set(walk.presentation.alphabet) != set(examples.SWAP_AB) or walk.coin_dim != 2
+    ):
+        raise UsageError("--isotropy needs the generators a, b and coin dimension 2")
     report = validate_tiling(walk.tiling, walk.presentation)
     status = EXIT_OK
     if report.ok:
@@ -125,26 +131,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
         status = EXIT_FAILURE
     residual, _ = unitarity_residual(walk)
     print(f"unitarity residual: {residual:.3e}")
-    if residual > args.tolerance:
+    if not residual <= args.tolerance:
         print(f"unitarity: FAIL (tolerance {args.tolerance:.1e})")
         status = EXIT_FAILURE
     else:
         print("unitarity: ok")
     if args.isotropy:
         coin = {"sigma_x": PAULI_X, "sigma_z": PAULI_Z}[args.isotropy]
-        labels = {g.name: g for g in walk.presentation.alphabet}
-        try:
-            swap = {
-                labels["a"]: labels["b"],
-                labels["b"]: labels["a"],
-                labels["a^-1"]: labels["b^-1"],
-                labels["b^-1"]: labels["a^-1"],
-            }
-        except KeyError:
-            raise UsageError("--isotropy needs generators named a and b")
-        deviation = check_isotropy(walk, IsotropySpec(swap, coin))
+        deviation = check_isotropy(walk, IsotropySpec(examples.SWAP_AB, coin))
         print(f"isotropy deviation ({args.isotropy}): {deviation:.3e}")
-        if deviation > args.tolerance:
+        if not deviation <= args.tolerance:
             print("isotropy: FAIL")
             status = EXIT_FAILURE
         else:
@@ -155,9 +151,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_dispersion(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
-    walk, kind = _resolve_walk(args)
-    _check_tiling(walk)
-    if args.oracle and kind not in ("g1", "g2"):
+    walk, closed_form = _checked_walk(args)
+    if args.oracle and closed_form is None:
         raise UsageError("--oracle requires --example g1 or g2")
     _bound_entries(
         args.grid ** walk.tiling.dimension * walk.block_dim**2, f"--grid {args.grid}"
@@ -167,14 +162,9 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         save_dispersion_csv(grid, args.out)
         print(f"wrote {grid.kpoints.shape[0]} rows to {args.out}")
     if args.oracle:
-        if kind == "g1":
-            deviation = examples.g1_grid_oracle_deviation(
-                grid, _g1_params(_parse_params(args.params))
-            )
-        else:
-            deviation = examples.g2_grid_oracle_deviation(grid)
+        deviation = examples.grid_oracle_deviation(grid, closed_form)
         print(f"oracle deviation: {deviation:.3e}")
-        if deviation >= ORACLE_TOLERANCE:
+        if not deviation < ORACLE_TOLERANCE:
             print(f"oracle: FAIL (tolerance {ORACLE_TOLERANCE:.1e})")
             return EXIT_FAILURE
         print("oracle: ok")
@@ -184,15 +174,20 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
-    walk, _ = _resolve_walk(args)
-    _check_walk(walk)
+    walk, _ = _checked_walk(args)
     _bound_entries(
         args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}"
     )
     if args.init == "delta":
         state = make_delta(walk, args.torus)
     else:
-        momentum = tuple(int(x) for x in args.momentum.split(","))
+        try:
+            momentum = tuple(int(x) for x in args.momentum.split(","))
+        except ValueError:
+            raise UsageError(f"--momentum must be integers, got {args.momentum!r}") from None
+        d = walk.tiling.dimension
+        if len(momentum) != d or any(abs(m) >= args.torus for m in momentum):
+            raise UsageError(f"--momentum needs {d} integers of magnitude below --torus")
         state = make_plane_wave(walk, args.torus, momentum)
     final = evolve(walk, state, args.steps)
     drift = abs(final.norm - state.norm)
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--torus", type=int, default=16, help="sites per axis")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--init", choices=["delta", "planewave"], default="delta")
-    p.add_argument("--momentum", default="1,0", help="integer momentum index for --init planewave")
+    p.add_argument("--momentum", default="1,0", help="integer momentum index (each |m| < --torus) for --init planewave")
     p.add_argument("--out", help="probability CSV output path")
     p.set_defaults(handler=cmd_evolve)
 
@@ -265,17 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WalkFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TorusSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, WalkFileError, OSError, TorusSizeError) as exc:
+        prefix = "parse error" if isinstance(exc, WalkFileError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonUnitaryError, EigensolveError, TilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

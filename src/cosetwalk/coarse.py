@@ -8,51 +8,16 @@ vectors, and the principal domain is (-pi, pi] per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .groups import TilingData, TilingRule, Word, evaluate_word
-from .linalg import wrap_phase
 from .walks import WalkSpec
 
 
 class RetileError(ValueError):
     """Proposed representative words do not give a translated transversal."""
-
-
-@dataclass(frozen=True)
-class WaveVector:
-    """Wave-vector by its H-basis pairings, each component in (-pi, pi]."""
-
-    components: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple(float(c) for c in self.components)
-        for c in comps:
-            if not (-np.pi < c <= np.pi):
-                raise ValueError(f"component {c} outside the principal interval (-pi, pi]")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def wrap(cls, values: Sequence[float]) -> "WaveVector":
-        return cls(tuple(float(x) for x in wrap_phase(values)))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
-def _components(k, dimension: int) -> np.ndarray:
-    comps = np.asarray(k.components if isinstance(k, WaveVector) else k, dtype=float)
-    if comps.shape != (dimension,):
-        raise ValueError(f"wave-vector has shape {comps.shape}, expected ({dimension},)")
-    return comps
-
-
-def build_kspace_operator(walk: WalkSpec, k) -> np.ndarray:
-    """Dense (s*l) x (s*l) fiber operator at wave-vector k."""
-    return kspace_operators(walk, _components(k, walk.tiling.dimension)[None, :])[0]
 
 
 def kspace_operators(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:

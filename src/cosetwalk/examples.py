@@ -22,7 +22,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coarse import WaveVector
 from .groups import (
     GeneratorLabel,
     GroupPresentation,
@@ -163,15 +162,9 @@ def g1_band_offset(walk_class: str) -> float:
     return np.pi / 2.0 if walk_class == "I" else 0.0
 
 
-def g1_mass(params: G1Params) -> float:
-    """sqrt(1 - nu^2) for the effective weight nu; 1 at the flat-band branch."""
-    nu = g1_effective_weight(params)
-    return float(np.sqrt(max(0.0, 1.0 - nu * nu)))
-
-
 def _wave_vectors(k) -> np.ndarray:
     """One wave-vector as a (2,) array, or a batch as an (nk, 2) array."""
-    k = np.asarray(k.components if isinstance(k, WaveVector) else k, dtype=float)
+    k = np.asarray(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != 2:
         raise ValueError(f"wave-vectors have shape {k.shape}, expected (2,) or (nk, 2)")
     return k
@@ -330,17 +323,6 @@ def grid_oracle_deviation(grid: DispersionGrid, closed_form: Callable[[np.ndarra
     """
     distances = phase_multiset_distance(grid.phases, closed_form(grid.kpoints))
     return float(np.max(distances, initial=0.0))
-
-
-def g1_grid_oracle_deviation(grid: DispersionGrid, params: G1Params) -> float:
-    nu = g1_effective_weight(params)
-    return grid_oracle_deviation(
-        grid, lambda k: g1_closed_form(k, nu, params.walk_class)
-    )
-
-
-def g2_grid_oracle_deviation(grid: DispersionGrid) -> float:
-    return grid_oracle_deviation(grid, g2_closed_form)
 
 
 @dataclass(frozen=True)
@@ -537,10 +519,18 @@ def verification_suite(
     return SuiteReport(tuple(items))
 
 
-def builtin_walk(name: str, *, g1_params: G1Params | None = None, g2_variant: str = "I") -> WalkSpec:
-    """Look up a built-in walk by CLI name ('g1' or 'g2')."""
+def builtin_walk(
+    name: str, *, g1_params: G1Params | None = None, g2_variant: str = "I"
+) -> tuple[WalkSpec, Callable[[np.ndarray], np.ndarray]]:
+    """A built-in walk by CLI name ('g1' or 'g2') and its closed-form phases.
+
+    The closed form maps (nk, 2) wave-vectors to the (nk, n) exact phases,
+    as ``grid_oracle_deviation`` expects.
+    """
     if name == "g1":
-        return g1_walk(g1_params or G1Params())
+        params = g1_params or G1Params()
+        nu = g1_effective_weight(params)
+        return g1_walk(params), lambda k: g1_closed_form(k, nu, params.walk_class)
     if name == "g2":
-        return g2_walk(g2_variant)
+        return g2_walk(g2_variant), g2_closed_form
     raise KeyError(f"unknown example {name!r}; available: g1, g2")

@@ -124,12 +124,6 @@ class GroupPresentation:
             out.append(g.inverse())
         return tuple(out)
 
-    def label(self, name: str) -> GeneratorLabel:
-        for g in self.alphabet:
-            if g.name == name:
-                return g
-        raise UnknownGeneratorError(name)
-
 
 # ---------------------------------------------------------------------------
 # tiling data

@@ -6,6 +6,7 @@ with 17 significant digits, so export -> parse -> export is byte-identical.
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 from typing import IO, Any
@@ -122,6 +123,19 @@ def _require(doc: dict, key: str, kind: type) -> Any:
     return value
 
 
+def _finite_complex(entry: Any) -> complex:
+    """An [re, im] pair of finite numbers (not bools) as one complex number.
+
+    ``complex`` itself rejects strings and raises OverflowError on huge ints.
+    """
+    if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_scalar, entry))):
+        raise TypeError("expected an [re, im] pair of numbers")
+    value = complex(entry[0], entry[1])
+    if not cmath.isfinite(value):
+        raise ValueError("matrix entry is not finite")
+    return value
+
+
 def document_to_walk(doc: dict) -> WalkSpec:
     """Build a WalkSpec from a parsed document, with field-level errors."""
     if not isinstance(doc, dict):
@@ -133,7 +147,7 @@ def document_to_walk(doc: dict) -> WalkSpec:
     labels: dict[str, GeneratorLabel] = {}
     generators: list[GeneratorLabel] = []
     for entry in _require(doc, "generators", list):
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) and x for x in entry)):
             raise WalkFileError(f"generators entries must be [name, inverse-name], got {entry!r}")
         base_name, inverse_name = entry
         g, ginv = generator_pair(base_name)
@@ -161,7 +175,7 @@ def document_to_walk(doc: dict) -> WalkSpec:
         if not (isinstance(row, list) and len(row) == 4):
             raise WalkFileError(f"table[{i}] must be [generator, coset, target, shift]")
         name, coset, target, shift = row
-        if name not in labels:
+        if not isinstance(name, str) or name not in labels:
             raise WalkFileError(f"table[{i}] uses unknown generator {name!r}")
         if not isinstance(coset, int) or not isinstance(target, int):
             raise WalkFileError(f"table[{i}] coset/target must be integers")
@@ -175,13 +189,10 @@ def document_to_walk(doc: dict) -> WalkSpec:
         if name not in labels:
             raise WalkFileError(f"transitions uses unknown generator {name!r}")
         try:
-            m = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-                dtype=complex,
-            )
-        except (TypeError, IndexError, ValueError):
+            m = np.array([[_finite_complex(entry) for entry in row] for row in rows], dtype=complex)
+        except (TypeError, ValueError, OverflowError):
             raise WalkFileError(
-                f"transitions[{name!r}] must be an s x s array of [re, im] pairs"
+                f"transitions[{name!r}] must be an s x s array of finite [re, im] pairs"
             ) from None
         if m.shape != (coin_dim, coin_dim):
             raise WalkFileError(

@@ -40,12 +40,20 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray):
-    """Largest singular value; 0 for an empty matrix.
+    """Largest singular value; 0 for an empty matrix, NaN for a non-finite one.
 
-    A stack (..., r, c) gives an array with one norm per matrix.
+    A stack (..., r, c) gives an array with one norm per matrix.  Matrices
+    holding inf or NaN never reach the SVD, which may fail to converge on them.
     """
     m = np.asarray(m)
-    norms = np.zeros(m.shape[:-2]) if m.size == 0 else np.linalg.norm(m, 2, axis=(-2, -1))
+    if m.size == 0:
+        norms = np.zeros(m.shape[:-2])
+    elif np.isfinite(m).all():
+        norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    else:
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        norms = np.full(m.shape[:-2], np.nan)
+        norms[finite] = np.linalg.norm(m[finite], 2, axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -149,11 +157,6 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
         _check_bound(worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual")
     return phases.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
-
-
-def eigenphases(u: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases of a unitary matrix or stack (see ``eigenpairs``)."""
-    return eigenpairs(u)[0]
 
 
 def phase_multiset_distance(a, b):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import _components, kspace_operators
+from .coarse import kspace_operators
 from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
@@ -71,6 +71,13 @@ def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     return DispersionGrid(walk, resolution, axis, kpoints, phases)
 
 
+def _components(k, dimension: int) -> np.ndarray:
+    comps = np.asarray(k, dtype=float)
+    if comps.shape != (dimension,):
+        raise ValueError(f"wave-vector has shape {comps.shape}, expected ({dimension},)")
+    return comps
+
+
 def band_phases(walk: WalkSpec, k) -> np.ndarray:
     """Sorted eigenphases of the fiber operator at one wave-vector."""
     comps = _components(k, walk.tiling.dimension)
@@ -111,29 +118,6 @@ def group_velocity(
             f"band {band} kinks within the stencil at k={comps} along axis {kinked[0]}"
         )
     return (forward + backward) / (2.0 * step)
-
-
-@dataclass(frozen=True)
-class BandAnalysis:
-    """Local kinematics of one sorted band at an extremum."""
-
-    band: int
-    location: tuple[float, ...]
-    gradient: tuple[float, ...]
-    curvature: tuple[float, ...]
-
-
-def analyze_band(walk: WalkSpec, k, band: int) -> BandAnalysis:
-    """Gradient and pure second partials of a band at an extremum of it."""
-    comps = _components(k, walk.tiling.dimension)
-    gradient = group_velocity(walk, comps, band)
-    curvature = band_curvature(walk, comps, band)
-    return BandAnalysis(
-        band,
-        tuple(float(x) for x in comps),
-        tuple(float(x) for x in gradient),
-        tuple(float(x) for x in curvature),
-    )
 
 
 def band_curvature(

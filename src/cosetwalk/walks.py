@@ -18,7 +18,7 @@ a stack of one walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -55,19 +55,8 @@ class TransitionFamily:
             frozen[g] = m
         object.__setattr__(self, "matrices", frozen)
 
-    @cached_property
-    def labels(self) -> frozenset[GeneratorLabel]:
-        return frozenset(self.matrices)
-
     def matrix(self, g: GeneratorLabel) -> np.ndarray:
         return self.matrices[g]
-
-    def null_labels(self) -> tuple[GeneratorLabel, ...]:
-        """Letters carrying an all-zero matrix (edges a walk never uses)."""
-        return tuple(
-            g for g, m in sorted(self.matrices.items(), key=lambda kv: kv[0])
-            if not m.any()
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +69,7 @@ class WalkSpec:
 
     def __post_init__(self) -> None:
         alphabet = set(self.presentation.alphabet)
-        if set(self.transitions.labels) != alphabet:
+        if set(self.transitions.matrices) != alphabet:
             raise ValueError("transition matrices do not cover the alphabet exactly")
         if set(self.tiling.generators) != alphabet:
             raise ValueError("tiling table rows do not cover the alphabet exactly")
@@ -177,7 +166,8 @@ def unitarity_residuals(
     ``_pair_buckets(tiling, alphabet).products[p]``.  All L^2 products of a
     side are formed with one matmul, each bucket sums its pairs in table
     order starting from zero, and every bucket norm comes from one
-    ``operator_norm`` call; every family is scored, unitary or not.
+    ``operator_norm`` call; every family is scored, unitary or not, and one
+    whose products overflow scores NaN.
     """
     buckets = _pair_buckets(tiling, alphabet)
     mats = np.asarray(matrices, dtype=complex)
@@ -186,18 +176,20 @@ def unitarity_residuals(
         raise ValueError(f"matrices have shape {mats.shape}, expected (B, {size}, s, s)")
     batch, s = mats.shape[0], mats.shape[-1]
     adj = adjoint(mats)
-    stack = np.concatenate(
-        [
-            (mats[:, :, None] @ adj[:, None]).reshape(batch, size * size, s, s),
-            (adj[:, :, None] @ mats[:, None]).reshape(batch, size * size, s, s),
-            np.zeros((batch, 1, s, s), dtype=complex),
-        ],
-        axis=1,
-    )
-    sums = np.zeros((batch, len(buckets.pairs), s, s), dtype=complex)
-    for slot in buckets.pairs.T:
-        sums += stack[:, slot]
-    sums[:, buckets.identity_rows] -= np.eye(s)
+    # huge entries overflow to inf or NaN, which score as a NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = np.concatenate(
+            [
+                (mats[:, :, None] @ adj[:, None]).reshape(batch, size * size, s, s),
+                (adj[:, :, None] @ mats[:, None]).reshape(batch, size * size, s, s),
+                np.zeros((batch, 1, s, s), dtype=complex),
+            ],
+            axis=1,
+        )
+        sums = np.zeros((batch, len(buckets.pairs), s, s), dtype=complex)
+        for slot in buckets.pairs.T:
+            sums += stack[:, slot]
+        sums[:, buckets.identity_rows] -= np.eye(s)
     deviations = np.zeros((batch, len(buckets.products)))
     np.maximum.at(deviations.T, buckets.columns, operator_norm(sums).T)
     return deviations.max(axis=1, initial=0.0), deviations
@@ -241,8 +233,5 @@ def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:
 
 def isotropy_normalization_residual(walk: WalkSpec) -> float:
     """||sum_g A_g - I||, zero exactly for the normalized solution families."""
-    s = walk.coin_dim
-    total = np.zeros((s, s), dtype=complex)
-    for m in walk.transitions.matrices.values():
-        total = total + m
-    return operator_norm(total - np.eye(s))
+    total = sum(walk.transitions.matrices.values())
+    return operator_norm(total - np.eye(walk.coin_dim))

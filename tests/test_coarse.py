@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
-from cosetwalk.coarse import RetileError, WaveVector, build_kspace_operator, kspace_operators, retile
+from cosetwalk.coarse import RetileError, kspace_operators, retile
 from cosetwalk.groups import (
     GroupPresentation,
     TilingData,
@@ -13,45 +13,37 @@ from cosetwalk.groups import (
 )
 from cosetwalk.linalg import (
     PAULI_Z,
-    eigenphases,
+    eigenpairs,
     phase_multiset_distance,
     unitarity_defect,
 )
+from cosetwalk.spectral import band_phases
 from cosetwalk.walks import TransitionFamily, WalkSpec
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
 
 
-def test_wavevector_validates_principal_interval():
-    WaveVector((np.pi, -3.0))
-    with pytest.raises(ValueError):
-        WaveVector((-np.pi, 0.0))
-    with pytest.raises(ValueError):
-        WaveVector((4.0, 0.0))
-    assert WaveVector.wrap((3 * np.pi, -np.pi)).components == (np.pi, np.pi)
-
-
 def test_fiber_operators_are_unitary_for_builtin_walks(g1_massive, g2_one, rng):
     for walk in (g1_massive, g2_one):
         for _ in range(10):
             k = rng.uniform(-np.pi, np.pi, 2)
-            assert unitarity_defect(build_kspace_operator(walk, k)) < 1e-12
+            assert unitarity_defect(kspace_operators(walk, [k])[0]) < 1e-12
 
 
 def test_g2_fiber_operator_is_block_off_diagonal(g2_one, rng):
     for _ in range(5):
-        m = build_kspace_operator(g2_one, rng.uniform(-np.pi, np.pi, 2))
+        m = kspace_operators(g2_one, [rng.uniform(-np.pi, np.pi, 2)])[0]
         assert np.all(m[:2, :2] == 0)
         assert np.all(m[2:, 2:] == 0)
 
 
 def test_g1_flat_point_spectrum(g1_flat):
     # class I at (1, 0): the fiber spectrum is {0 x4, pi x4} at every k
-    phases = eigenphases(build_kspace_operator(g1_flat, (0.0, 0.0)))
+    phases = band_phases(g1_flat, (0.0, 0.0))
     expected = np.sort([0.0, 0.0, 0.0, 0.0, np.pi, np.pi, np.pi, np.pi])
     assert phase_multiset_distance(phases, expected) < 1e-12
-    phases = eigenphases(build_kspace_operator(g1_flat, (1.2, -0.7)))
+    phases = band_phases(g1_flat, (1.2, -0.7))
     assert phase_multiset_distance(phases, expected) < 1e-12
 
 
@@ -71,7 +63,7 @@ def shift_walk_1d():
 def test_one_generator_shift_reduces_to_scalar_phase():
     walk = shift_walk_1d()
     for k in (0.0, 0.7, -2.2, np.pi):
-        m = build_kspace_operator(walk, (k,))
+        m = kspace_operators(walk, [(k,)])[0]
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(np.exp(-1j * k))
 
@@ -79,7 +71,7 @@ def test_one_generator_shift_reduces_to_scalar_phase():
 def test_formal_scalar_check_sums_coset_permutations(g1_flat):
     ones = {g: np.array([[1.0]], dtype=complex) for g in g1_flat.presentation.alphabet}
     formal = WalkSpec(g1_flat.presentation, g1_flat.tiling, TransitionFamily(1, ones))
-    m = build_kspace_operator(formal, (0.0, 0.0))
+    m = kspace_operators(formal, [(0.0, 0.0)])[0]
     # a and b step cosets downward, their inverses upward: 2 per neighbor
     expected = np.zeros((4, 4))
     for j in range(4):
@@ -89,10 +81,17 @@ def test_formal_scalar_check_sums_coset_permutations(g1_flat):
 
 
 def test_batched_operators_match_single_builds(g1_massive, rng):
+    # independent build: one block (target, coset) per table rule, summed
+    # with its phase e^{-i k.h} at one wave-vector at a time
     kpoints = rng.uniform(-np.pi, np.pi, (7, 2))
     batch = kspace_operators(g1_massive, kpoints)
     for k, m in zip(kpoints, batch):
-        assert_allclose(m, build_kspace_operator(g1_massive, k))
+        single = np.zeros((8, 8), dtype=complex)
+        for rule in g1_massive.tiling.rules:
+            block = g1_massive.transitions.matrix(rule.generator)
+            phase = np.exp(-1j * np.dot(k, rule.shift))
+            single[2 * rule.target:2 * rule.target + 2, 2 * rule.coset:2 * rule.coset + 2] += phase * block
+        assert_allclose(m, single, atol=1e-15)
 
 
 def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
@@ -109,8 +108,7 @@ def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
             + np.exp(1j * kx / 2) * mats.matrix(B_INV)
         )
         independent = np.kron(PAULI_Z, bk @ PAULI_Z)
-        built = build_kspace_operator(g2_one, k)
-        assert phase_multiset_distance(eigenphases(built), eigenphases(independent)) < 1e-12
+        assert phase_multiset_distance(band_phases(g2_one, k), eigenpairs(independent)[0]) < 1e-12
 
 
 # --- retiling ---------------------------------------------------------------
@@ -129,8 +127,8 @@ def test_retile_g1_translated_rep_preserves_spectra(g1_massive, rng):
     for _ in range(20):
         k = rng.uniform(-np.pi, np.pi, 2)
         d = phase_multiset_distance(
-            eigenphases(build_kspace_operator(g1_massive, k)),
-            eigenphases(build_kspace_operator(moved, k)),
+            band_phases(g1_massive, k),
+            band_phases(moved, k),
         )
         assert d < 1e-9
 
@@ -142,8 +140,8 @@ def test_retile_g2_rep_a_preserves_spectra(g2_one, rng):
     for _ in range(20):
         k = rng.uniform(-np.pi, np.pi, 2)
         d = phase_multiset_distance(
-            eigenphases(build_kspace_operator(g2_one, k)),
-            eigenphases(build_kspace_operator(moved, k)),
+            band_phases(g2_one, k),
+            band_phases(moved, k),
         )
         assert d < 1e-9
 

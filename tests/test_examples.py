@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
 from cosetwalk.groups import generator_pair, validate_tiling
-from cosetwalk.linalg import adjoint, eigenphases, phase_multiset_distance, wrap_phase
-from cosetwalk.coarse import build_kspace_operator
+from cosetwalk.linalg import adjoint, phase_multiset_distance, wrap_phase
 from cosetwalk.spectral import band_phases, dispersion_grid, grid_axis
 from cosetwalk.walks import TransitionFamily, WalkSpec
 
@@ -155,11 +154,9 @@ def test_grid_oracle_deviation_is_worst_single_k_distance(g1_massive):
     assert ex.grid_oracle_deviation(grid, closed_form) == max(per_k)
 
 
-def test_g1_effective_weight_and_mass():
+def test_g1_effective_weight():
     assert ex.g1_effective_weight(ex.G1Params("I", 0.6, 0.8, 1)) == 0.8
     assert ex.g1_effective_weight(ex.G1Params("II", 0.6, 0.8, 1)) == 0.6
-    assert ex.g1_mass(ex.G1Params("II", 0.6, 0.8, 1)) == pytest.approx(0.8)
-    assert ex.g1_mass(ex.G1Params("I", 1.0, 0.0, 1)) == pytest.approx(1.0)
 
 
 def test_g2_wave_numbers():
@@ -194,7 +191,7 @@ def test_g1_numeric_spectra_match_closed_form(params, rng):
     nu = ex.g1_effective_weight(params)
     for _ in range(8):
         k = rng.uniform(-np.pi, np.pi, 2)
-        numeric = eigenphases(build_kspace_operator(walk, k))
+        numeric = band_phases(walk, k)
         assert phase_multiset_distance(numeric, ex.g1_closed_form(k, nu, params.walk_class)) < 1e-9
 
 
@@ -203,14 +200,14 @@ def test_g2_numeric_spectra_match_closed_form(variant, rng):
     walk = ex.g2_walk(variant)
     for _ in range(8):
         k = rng.uniform(-np.pi, np.pi, 2)
-        numeric = eigenphases(build_kspace_operator(walk, k))
+        numeric = band_phases(walk, k)
         assert phase_multiset_distance(numeric, ex.g2_closed_form(k)) < 1e-9
 
 
 def test_g2_fiber_phases_at_half_pi_point(g2_one):
     # k_2 = k_3 = pi/2 gives alpha = 1/2: phases pi/2 +- pi/3 and their
     # pi-shifted partners
-    numeric = eigenphases(build_kspace_operator(g2_one, (np.pi / 2, np.pi / 2)))
+    numeric = band_phases(g2_one, (np.pi / 2, np.pi / 2))
     expected = [np.pi / 2 - np.pi / 3, np.pi / 2 + np.pi / 3,
                 -np.pi / 2 - np.pi / 3, -np.pi / 2 + np.pi / 3]
     assert phase_multiset_distance(numeric, expected) < 1e-12
@@ -269,7 +266,12 @@ def test_scalar_rejection_is_total(g1_flat, g2_one, rng):
 
 
 def test_builtin_lookup():
-    assert ex.builtin_walk("g1").coin_dim == 2
-    assert ex.builtin_walk("g2", g2_variant="II").coin_dim == 2
+    params = ex.G1Params("I", 0.6, 0.8, -1)
+    walk, closed_form = ex.builtin_walk("g1", g1_params=params)
+    assert walk.coin_dim == 2
+    k = np.array([[0.3, -1.1]])
+    assert_allclose(closed_form(k), ex.g1_closed_form(k, 0.8, "I"))
+    walk, closed_form = ex.builtin_walk("g2", g2_variant="II")
+    assert walk.coin_dim == 2 and closed_form is ex.g2_closed_form
     with pytest.raises(KeyError):
         ex.builtin_walk("g3")

@@ -9,17 +9,19 @@ from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
 from cosetwalk.evolve import evolve, make_delta, probability_map
+from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
 from cosetwalk.io import (
     WalkFileError,
     _format_float,
     dumps_walk,
     loads_walk,
     save_dispersion_csv,
+    save_walk,
     write_dispersion_csv,
     write_probability_csv,
 )
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
-from cosetwalk.walks import unitarity_residual
+from cosetwalk.walks import TransitionFamily, WalkSpec, unitarity_residual
 
 
 @pytest.mark.parametrize("maker", [
@@ -47,6 +49,24 @@ def test_document_is_valid_json(g2_one):
 def test_parse_error_reports_position():
     with pytest.raises(WalkFileError, match="line"):
         loads_walk("{ not json")
+
+
+@pytest.mark.parametrize("name", [["a"], {"a": 1}])
+def test_table_generator_must_be_a_name(name):
+    doc = json.loads(dumps_walk(ex.g1_walk()))
+    doc["table"][0][0] = name
+    with pytest.raises(WalkFileError, match=r"table\[0\] uses unknown generator"):
+        loads_walk(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [
+    [float("nan"), 0.0], [0.5, float("inf")], [10**400, 0], [True, 0], [0.5], {},
+])
+def test_transition_entries_must_be_finite_number_pairs(entry):
+    doc = json.loads(dumps_walk(ex.g1_walk()))
+    doc["transitions"]["b"][1][0] = entry
+    with pytest.raises(WalkFileError, match=r"transitions\['b'\] must be .* finite"):
+        loads_walk(json.dumps(doc))
 
 
 def test_parse_error_reports_field():
@@ -223,7 +243,7 @@ def test_cli_non_unitary_walk_fails_with_one_line(capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: unitarity defect")
+    assert len(lines) == 1 and lines[0].startswith("error: unitarity residual")
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -362,3 +382,65 @@ def test_cli_planewave_init(capsys):
     ]) == 0
     drift = float(capsys.readouterr().out.split("norm drift after 5 steps:")[1].split()[0])
     assert drift < 1e-12
+
+
+def _line_walk():
+    """The unit shift on Z: one generator t, coin dimension 1."""
+    t, t_inv = generator_pair("t")
+    tiling = TilingData(1, 1, ((),), (TilingRule(t, 0, 0, (1,)), TilingRule(t_inv, 0, 0, (-1,))))
+    matrices = {t: np.ones((1, 1)), t_inv: np.zeros((1, 1))}
+    return WalkSpec(GroupPresentation((t,), ()), tiling, TransitionFamily(1, matrices))
+
+
+def _scalar_g1_walk():
+    """g1's presentation and tiling with 1 x 1 transition matrices."""
+    g1 = ex.g1_walk()
+    matrices = {g: np.full((1, 1), 0.5) for g in g1.presentation.alphabet}
+    return WalkSpec(g1.presentation, g1.tiling, TransitionFamily(1, matrices))
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--example", "g1", "--init", "planewave", "--momentum", "x"],
+    ["evolve", "{line}", "--init", "planewave", "--momentum", "1,0"],
+    ["evolve", "--example", "g2", "--init", "planewave", "--momentum", "1" + "0" * 400 + ",0"],
+    ["validate", "{scalar_g1}", "--isotropy", "sigma_x"],
+    ["validate", "{line}", "--isotropy", "sigma_z"],
+], ids=["momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1", "isotropy-not-ab"])
+def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
+    files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}
+    for name, walk in files.items():
+        save_walk(walk, tmp_path / f"{name}.json")
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_entry_fails_every_check(capsys):
+    # a's first entry is 1e308: its pair products overflow and the unitarity
+    # residual is NaN, which used to pass as "unitarity: ok"
+    path = str(FIXTURES / "g1_a_overflow.json")
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert "unitarity: FAIL" in captured.out and captured.err == ""
+    for argv in (["dispersion", path, "--grid", "3"], ["evolve", path, "--torus", "5", "--steps", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unitarity residual nan exceeds 1.0e-10\n"
+
+
+def test_package_submodules_are_not_shadowed():
+    import importlib
+    import pkgutil
+    import types
+
+    import cosetwalk
+
+    for info in pkgutil.iter_modules(cosetwalk.__path__):
+        module = importlib.import_module(f"cosetwalk.{info.name}")
+        assert getattr(cosetwalk, info.name) is module
+        assert isinstance(module, types.ModuleType)

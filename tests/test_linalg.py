@@ -12,7 +12,6 @@ from cosetwalk.linalg import (
     adjoint,
     circular_distance,
     eigenpairs,
-    eigenphases,
     operator_norm,
     phase_multiset_distance,
     unitarity_defect,
@@ -52,18 +51,18 @@ def _random_unitary(rng, n):
 
 
 def test_eigenphases_identity():
-    assert_allclose(eigenphases(np.eye(4)), np.zeros(4))
+    assert_allclose(eigenpairs(np.eye(4))[0], np.zeros(4))
 
 
 def test_eigenphases_diagonal_case():
     # eigenvalues are read as e^{-i omega}: e^{-i pi/4} -> pi/4, e^{i pi/2} -> -pi/2
     u = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 2)])
-    assert_allclose(eigenphases(u), [-np.pi / 2, np.pi / 4], atol=1e-14)
+    assert_allclose(eigenpairs(u)[0], [-np.pi / 2, np.pi / 4], atol=1e-14)
 
 
 def test_eigenphases_sorted_and_in_interval(rng):
     for n in (2, 3, 8):
-        phases = eigenphases(_random_unitary(rng, n))
+        phases = eigenpairs(_random_unitary(rng, n))[0]
         assert np.all(np.diff(phases) >= 0)
         assert np.all(phases > -np.pi) and np.all(phases <= np.pi)
 
@@ -87,14 +86,14 @@ def test_unitary_spectrum_has_unit_moduli(rng):
 def test_determinant_matches_phase_product(rng):
     for _ in range(5):
         u = _random_unitary(rng, 5)
-        phases = eigenphases(u)
+        phases = eigenpairs(u)[0]
         det = np.linalg.det(u)
         assert abs(np.exp(-1j * phases.sum()) - det) < 1e-8
 
 
 def test_non_unitary_input_is_rejected():
     with pytest.raises(NonUnitaryError):
-        eigenphases(np.diag([1.0, 2.0]))
+        eigenpairs(np.diag([1.0, 2.0]))
 
 
 def test_error_types_are_distinct():
@@ -104,7 +103,7 @@ def test_error_types_are_distinct():
 
 def test_oversized_matrix_is_rejected():
     with pytest.raises(ValueError):
-        eigenphases(np.eye(65))
+        eigenpairs(np.eye(65))
 
 
 def test_unitarity_defect_scale():
@@ -137,7 +136,7 @@ def test_frobenius_screen_defers_to_the_two_norm():
     # bound, while the Frobenius norm (~1.27e-8) that screens the stack is not
     u = np.array([[np.exp(0.3j), 9e-9], [0, np.exp(-1.1j)]])
     assert unitarity_defect(u) < 1e-8 < np.linalg.norm(adjoint(u) @ u - np.eye(2))
-    assert_allclose(eigenphases(np.stack([u, u])), [[-0.3, 1.1]] * 2, atol=1e-14)
+    assert_allclose(eigenpairs(np.stack([u, u]))[0], [[-0.3, 1.1]] * 2, atol=1e-14)
 
 
 def test_bad_matrices_in_a_stack_name_the_first_index(rng):

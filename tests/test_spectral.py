@@ -90,9 +90,9 @@ def test_grid_rejects_two_norm_defect_the_entrywise_bound_allowed(g1_massive):
 
 def test_grid_matches_closed_forms(g1_massive, g2_one):
     grid = dispersion_grid(g1_massive, 17)
-    assert ex.g1_grid_oracle_deviation(grid, ex.G1Params("II", 0.6, 0.8, 1)) < 1e-9
+    assert ex.grid_oracle_deviation(grid, lambda k: ex.g1_closed_form(k, 0.6, "II")) < 1e-9
     grid = dispersion_grid(g2_one, 17)
-    assert ex.g2_grid_oracle_deviation(grid) < 1e-9
+    assert ex.grid_oracle_deviation(grid, ex.g2_closed_form) < 1e-9
 
 
 # --- group velocity ---------------------------------------------------------
@@ -170,18 +170,6 @@ def test_curvature_is_symmetric_between_axes(g1_massive):
     band = int(np.argmin(np.abs(phases - np.arccos(0.6))))
     curvature = band_curvature(g1_massive, (0.0, 0.0), band)
     assert curvature[0] == pytest.approx(curvature[1], abs=1e-8)
-
-
-def test_analyze_band_bundles_kinematics(g1_massive):
-    from cosetwalk.spectral import analyze_band
-
-    phases = band_phases(g1_massive, (0.0, 0.0))
-    band = int(np.argmin(np.abs(phases - np.arccos(0.6))))
-    analysis = analyze_band(g1_massive, (0.0, 0.0), band)
-    assert analysis.band == band
-    assert analysis.location == (0.0, 0.0)
-    assert max(abs(g) for g in analysis.gradient) < 1e-9
-    assert analysis.curvature[0] == pytest.approx(0.09375, abs=1e-4)
 
 
 # --- continuity -------------------------------------------------------------

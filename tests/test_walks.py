@@ -156,13 +156,6 @@ def test_transition_family_rejects_bad_shapes():
         TransitionFamily(2, {A: np.eye(3)})
 
 
-def test_null_label_listing(g1_flat):
-    amplitudes = {A: 1.0, B: 0.0, A_INV: 0.0, B_INV: 0.0}
-    family = scalar_walk(g1_flat, amplitudes).transitions
-    assert set(g.name for g in family.null_labels()) == {"a^-1", "b", "b^-1"}
-    assert ex.g1_walk().transitions.null_labels() == ()
-
-
 def test_transition_matrices_are_frozen(g1_flat):
     m = g1_flat.transitions.matrix(A)
     with pytest.raises(ValueError):
@@ -170,7 +163,7 @@ def test_transition_matrices_are_frozen(g1_flat):
 
 
 def test_unitarity_transfer_to_fiber_operators(g1_massive, g2_one, rng):
-    from cosetwalk.coarse import build_kspace_operator
+    from cosetwalk.coarse import kspace_operators
     from cosetwalk.linalg import unitarity_defect
 
     for walk in (g1_massive, g2_one):
@@ -181,4 +174,4 @@ def test_unitarity_transfer_to_fiber_operators(g1_massive, g2_one, rng):
         bound = len(walk.presentation.alphabet) * residual
         for _ in range(10):
             k = rng.uniform(-np.pi, np.pi, 2)
-            assert unitarity_defect(build_kspace_operator(perturbed, k)) < bound
+            assert unitarity_defect(kspace_operators(perturbed, [k])[0]) < bound
