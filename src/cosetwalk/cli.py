@@ -206,6 +206,8 @@ def cmd_show_example(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     report = examples.verification_suite(seed=args.seed, scalar_samples=args.samples)
     print(report.summary())
     return EXIT_OK if report.all_passed else EXIT_FAILURE

@@ -63,15 +63,8 @@ def _check_torus(walk: WalkSpec, sizes: tuple[int, ...]) -> None:
         )
 
 
-def make_delta(
-    walk: WalkSpec,
-    size: int,
-    *,
-    site: tuple[int, ...] | None = None,
-    coset: int = 0,
-    coin: int | None = None,
-) -> LatticeState:
-    """Unit-norm state concentrated on one (site, coset) cell.
+def make_delta(walk: WalkSpec, size: int, *, coin: int | None = None) -> LatticeState:
+    """Unit-norm state concentrated on the origin site's first coset.
 
     ``coin=None`` places the uniform coin superposition (1, ..., 1)/sqrt(s);
     an integer selects a single coin basis vector.
@@ -79,13 +72,12 @@ def make_delta(
     d = walk.tiling.dimension
     sizes = (size,) * d
     _check_torus(walk, sizes)
-    if site is None:
-        site = (0,) * d
+    cell = (0,) * (d + 1)  # origin site, coset 0
     amps = np.zeros(sizes + (walk.tiling.index, walk.coin_dim), dtype=complex)
     if coin is None:
-        amps[site + (coset,)] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))
+        amps[cell] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))
     else:
-        amps[site + (coset, coin)] = 1.0
+        amps[cell + (coin,)] = 1.0
     return LatticeState(sizes, amps)
 
 

@@ -43,8 +43,7 @@ from .walks import (
     IsotropySpec,
     TransitionFamily,
     WalkSpec,
-    check_isotropy,
-    unitarity_residual,
+    isotropy_deviations,
     unitarity_residuals,
 )
 
@@ -391,7 +390,6 @@ def verification_suite(
     *,
     seed: int = 0,
     scalar_samples: int = 1000,
-    g1_walks: tuple[tuple[G1Params, WalkSpec], ...] | None = None,
     g2_variant_walks: Mapping[str, WalkSpec] | None = None,
 ) -> SuiteReport:
     """Structural checks on the built-in solution families.
@@ -401,77 +399,62 @@ def verification_suite(
     unitaries keep the constraints; (iii) both g2 variants satisfy the
     constraints and variant II equals Y A^T Y^dag entrywise; (iv) random
     all-nonzero scalar families are rejected on both graphs; (v) the two g1
-    classes differ structurally in how inverse letters pair.  Walk
-    arguments exist so a caller can probe the suite with corrupted inputs.
+    classes differ structurally in how inverse letters pair.  Each family
+    group of (i)-(iii) is one (B, L, 2, 2) stack scored by one
+    ``unitarity_residuals`` and one ``isotropy_deviations`` call.
+    ``g2_variant_walks`` lets a caller probe the suite with corrupted
+    inputs; the pair is scored on variant I's tiling.
     """
     rng = np.random.default_rng(seed)
     items: list[SuiteItem] = []
 
-    if g1_walks is None:
-        g1_walks = tuple(
-            (params, g1_walk(params))
-            for n in _G1_SWEEP_WEIGHTS
-            for params in (
-                G1Params(cls, n, float(np.sqrt(max(0.0, 1.0 - n * n))), sign)
-                for cls in ("I", "II")
-                for sign in (1, -1)
-            )
-        )
-    worst_unitarity = 0.0
-    worst_isotropy = 0.0
+    g1_members = [
+        g1_walk(G1Params(cls, n, float(np.sqrt(max(0.0, 1.0 - n * n))), sign))
+        for n in _G1_SWEEP_WEIGHTS
+        for cls in ("I", "II")
+        for sign in (1, -1)
+    ]
+    tiling, alphabet = g1_members[0].tiling, g1_members[0].presentation.alphabet
+    members = np.stack([walk.matrix_stack() for walk in g1_members])
     iso = g1_isotropy()
-    for _, walk in g1_walks:
-        residual, _ = unitarity_residual(walk)
-        worst_unitarity = max(worst_unitarity, residual)
-        worst_isotropy = max(worst_isotropy, check_isotropy(walk, iso))
-    ok = worst_unitarity < 1e-12 and worst_isotropy < 1e-12
+    worst_unitarity = float(unitarity_residuals(tiling, alphabet, members)[0].max())
+    worst_isotropy = float(isotropy_deviations(alphabet, members, iso).max())
     items.append(
         SuiteItem(
             "g1_family_constraints",
-            ok,
-            f"{len(g1_walks)} members, worst unitarity {worst_unitarity:.2e}, "
+            worst_unitarity < 1e-12 and worst_isotropy < 1e-12,
+            f"{len(members)} members, worst unitarity {worst_unitarity:.2e}, "
             f"worst swap/sigma_x covariance {worst_isotropy:.2e}",
         )
     )
 
-    worst = 0.0
-    count = 0
-    for _, walk in g1_walks[:: max(1, len(g1_walks) // 6)]:
-        for _ in range(3):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            extra = np.cos(theta) * IDENTITY2 + 1j * np.sin(theta) * PAULI_X
-            matrices = {
-                g: extra @ m for g, m in walk.transitions.matrices.items()
-            }
-            multiplied = WalkSpec(
-                walk.presentation,
-                walk.tiling,
-                TransitionFamily(coin_dim=2, matrices=matrices),
-            )
-            residual, _ = unitarity_residual(multiplied)
-            worst = max(worst, residual, check_isotropy(multiplied, iso))
-            count += 1
+    # three extra mixing unitaries cos t I + i sin t sigma_x on every third member
+    theta = rng.uniform(0.0, 2.0 * np.pi, (len(members[::3]), 3))[..., None, None]
+    extra = np.cos(theta) * IDENTITY2 + 1j * np.sin(theta) * PAULI_X
+    multiplied = (extra[:, :, None] @ members[::3, None]).reshape(-1, *members.shape[1:])
+    worst = float(np.maximum(
+        unitarity_residuals(tiling, alphabet, multiplied)[0],
+        isotropy_deviations(alphabet, multiplied, iso),
+    ).max())
     items.append(
         SuiteItem(
             "g1_left_multiplication_closure",
             worst < 1e-12,
-            f"{count} extra mixing unitaries, worst residual {worst:.2e}",
+            f"{len(multiplied)} extra mixing unitaries, worst residual {worst:.2e}",
         )
     )
 
     if g2_variant_walks is None:
         g2_variant_walks = {"I": g2_walk("I"), "II": g2_walk("II")}
     walk_one = g2_variant_walks["I"]
-    walk_two = g2_variant_walks["II"]
-    worst = 0.0
-    for variant, walk in (("I", walk_one), ("II", walk_two)):
-        residual, _ = unitarity_residual(walk)
-        worst = max(worst, residual, check_isotropy(walk, g2_isotropy(variant)))
+    alphabet = walk_one.presentation.alphabet
+    pair = np.stack([g2_variant_walks[v].matrix_stack() for v in ("I", "II")])
+    worst = float(np.maximum(
+        unitarity_residuals(walk_one.tiling, alphabet, pair)[0],
+        isotropy_deviations(alphabet, pair, (g2_isotropy("I"), g2_isotropy("II"))),
+    ).max())
     y = ANTIUNITARY_Y
-    entrywise = max(
-        float(np.abs(walk_two.transitions.matrix(g) - y @ walk_one.transitions.matrix(g).T @ adjoint(y)).max())
-        for g in walk_one.presentation.alphabet
-    )
+    entrywise = float(np.abs(pair[1] - y @ pair[0].swapaxes(-1, -2) @ adjoint(y)).max())
     items.append(
         SuiteItem(
             "g2_solutions",
@@ -481,19 +464,14 @@ def verification_suite(
         )
     )
 
-    rejections = []
-    worst_min = np.inf
-    for template in (g1_walk(), g2_walk("I")):
-        rejected, min_residual = scalar_rejection_rate(template, scalar_samples, rng)
-        rejections.append(rejected)
-        worst_min = min(worst_min, min_residual)
-    ok = all(r == scalar_samples for r in rejections)
+    g1_rejected, g1_min = scalar_rejection_rate(g1_walk(), scalar_samples, rng)
+    g2_rejected, g2_min = scalar_rejection_rate(g2_walk("I"), scalar_samples, rng)
     items.append(
         SuiteItem(
             "scalar_walks_rejected",
-            ok,
-            f"{rejections[0]}/{scalar_samples} and {rejections[1]}/{scalar_samples} "
-            f"rejected, smallest residual {worst_min:.3e}",
+            g1_rejected == scalar_samples and g2_rejected == scalar_samples,
+            f"{g1_rejected}/{scalar_samples} and {g2_rejected}/{scalar_samples} "
+            f"rejected, smallest residual {min(g1_min, g2_min):.3e}",
         )
     )
 

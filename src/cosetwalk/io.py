@@ -218,7 +218,11 @@ def loads_walk(text: str) -> WalkSpec:
 
 
 def load_walk(path: str | Path) -> WalkSpec:
-    return loads_walk(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WalkFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return loads_walk(text)
 
 
 def _write_rows(stream: IO[str], table: np.ndarray, formats: list[str]) -> None:

@@ -44,15 +44,14 @@ def operator_norm(m: np.ndarray):
 
     A stack (..., r, c) gives an array with one norm per matrix.  Matrices
     holding inf or NaN never reach the SVD, which may fail to converge on them.
+    1 x 1 matrices take their modulus instead of an SVD.
     """
     m = np.asarray(m)
-    if m.size == 0:
-        norms = np.zeros(m.shape[:-2])
-    elif np.isfinite(m).all():
-        norms = np.linalg.norm(m, 2, axis=(-2, -1))
-    else:
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        norms = np.full(m.shape[:-2], np.nan)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    norms = np.where(finite, 0.0, np.nan)
+    if m.shape[-2:] == (1, 1):
+        norms[finite] = np.abs(m[finite][:, 0, 0])
+    elif m.size:
         norms[finite] = np.linalg.norm(m[finite], 2, axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 

@@ -99,49 +99,41 @@ def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps) -> tupl
     return phases[0], upper, lower
 
 
-def group_velocity(
-    walk: WalkSpec, k, band: int, *, step: float = VELOCITY_STEP
-) -> np.ndarray:
-    """Central-difference gradient of the sorted band at k.
+def group_velocity(walk: WalkSpec, k, band: int) -> np.ndarray:
+    """Central-difference gradient of the sorted band at k, step VELOCITY_STEP.
 
     Raises BandCrossingError when the second difference betrays a kink of
     the sorted band inside the stencil (a crossing), rather than returning a
     silent average slope.
     """
     comps = _components(k, walk.tiling.dimension)
-    center, upper, lower = _stencil_phases(walk, comps, band, (step,))
+    center, upper, lower = _stencil_phases(walk, comps, band, (VELOCITY_STEP,))
     forward = wrap_phase(upper[0] - center)
     backward = wrap_phase(center - lower[0])
-    kinked = np.flatnonzero(np.abs(forward - backward) > 50.0 * step * step)
+    kinked = np.flatnonzero(np.abs(forward - backward) > 50.0 * VELOCITY_STEP * VELOCITY_STEP)
     if kinked.size:
         raise BandCrossingError(
             f"band {band} kinks within the stencil at k={comps} along axis {kinked[0]}"
         )
-    return (forward + backward) / (2.0 * step)
+    return (forward + backward) / (2.0 * VELOCITY_STEP)
 
 
-def band_curvature(
-    walk: WalkSpec,
-    k,
-    band: int,
-    *,
-    step: float = CURVATURE_STEP,
-    gradient_tolerance: float = GRADIENT_TOLERANCE,
-) -> np.ndarray:
+def band_curvature(walk: WalkSpec, k, band: int) -> np.ndarray:
     """Pure second partials of the sorted band at an extremum.
 
-    Second-order central differences with one Richardson extrapolation;
-    requires the gradient at k to vanish to ``gradient_tolerance``.
+    Second-order central differences at steps CURVATURE_STEP and half of it
+    with one Richardson extrapolation; requires the gradient at k to vanish
+    to GRADIENT_TOLERANCE.
     """
     comps = _components(k, walk.tiling.dimension)
     gradient = group_velocity(walk, comps, band)
     worst = float(np.abs(gradient).max())
-    if worst > gradient_tolerance:
+    if worst > GRADIENT_TOLERANCE:
         raise ExtremumError(
-            f"gradient component {worst:.3e} exceeds {gradient_tolerance:.1e}; "
+            f"gradient component {worst:.3e} exceeds {GRADIENT_TOLERANCE:.1e}; "
             "curvature is defined at extrema only"
         )
-    steps = np.array([step, step / 2.0])
+    steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])
     center, upper, lower = _stencil_phases(walk, comps, band, steps)
     coarse, fine = (wrap_phase(upper - center) + wrap_phase(lower - center)) / (steps * steps)[:, None]
     return (4.0 * fine - coarse) / 3.0

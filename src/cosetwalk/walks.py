@@ -11,15 +11,18 @@ of f and reports the worst operator-norm deviation.
 The buckets of a tiling are cached as index arrays into the stack of all
 pair products, so ``unitarity_residuals`` scores a whole stack of families
 (B, L, s, s) with one matmul per side, one gathered add per pair slot and
-one batched operator-norm call; ``unitarity_residual`` is that kernel on
-a stack of one walk.
+one batched operator-norm call.  Covariance A_{f(g)} = U A_g U^dag under an
+isotropy is scored the same way by ``isotropy_deviations``: one gather of
+the image letters, one U A U^dag over the stack, one operator-norm call.
+``unitarity_residual`` and ``check_isotropy`` are those kernels on a stack
+of one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +85,11 @@ class WalkSpec:
     def block_dim(self) -> int:
         """Dimension s*l of the coarse-grained coin (k-space operator size)."""
         return self.coin_dim * self.tiling.index
+
+    def matrix_stack(self) -> np.ndarray:
+        """The (L, s, s) transition matrices in alphabet order."""
+        mats = self.transitions.matrices
+        return np.stack([mats[g] for g in self.presentation.alphabet])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +162,14 @@ def _pair_buckets(tiling: TilingData, alphabet: tuple[GeneratorLabel, ...]) -> _
     )
 
 
+def _family_stack(alphabet: tuple[GeneratorLabel, ...], matrices: np.ndarray) -> np.ndarray:
+    """``matrices`` as a complex (B, L, s, s) array, L = len(alphabet)."""
+    mats = np.asarray(matrices, dtype=complex)
+    if mats.ndim != 4 or mats.shape[1] != len(alphabet) or mats.shape[2] != mats.shape[3]:
+        raise ValueError(f"matrices have shape {mats.shape}, expected (B, {len(alphabet)}, s, s)")
+    return mats
+
+
 def unitarity_residuals(
     tiling: TilingData, alphabet: tuple[GeneratorLabel, ...], matrices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +186,8 @@ def unitarity_residuals(
     whose products overflow scores NaN.
     """
     buckets = _pair_buckets(tiling, alphabet)
-    mats = np.asarray(matrices, dtype=complex)
+    mats = _family_stack(alphabet, matrices)
     size = len(alphabet)
-    if mats.ndim != 4 or mats.shape[1] != size or mats.shape[2] != mats.shape[3]:
-        raise ValueError(f"matrices have shape {mats.shape}, expected (B, {size}, s, s)")
     batch, s = mats.shape[0], mats.shape[-1]
     adj = adjoint(mats)
     # huge entries overflow to inf or NaN, which score as a NaN residual
@@ -205,30 +219,48 @@ def unitarity_residual(walk: WalkSpec) -> tuple[float, dict[GroupElement, float]
     of one by ``unitarity_residuals``.
     """
     alphabet = walk.presentation.alphabet
-    mats = walk.transitions.matrices
-    residuals, deviations = unitarity_residuals(
-        walk.tiling, alphabet, np.stack([mats[g] for g in alphabet])[None]
-    )
+    residuals, deviations = unitarity_residuals(walk.tiling, alphabet, walk.matrix_stack()[None])
     products = _pair_buckets(walk.tiling, alphabet).products
     return float(residuals[0]), dict(zip(products, deviations[0].tolist()))
 
 
-def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:
-    """Worst covariance deviation max_g ||A_{f(g)} - U A_g U^dag||."""
-    u = iso.coin_unitary
-    if u.shape != (walk.coin_dim, walk.coin_dim):
+def isotropy_deviations(
+    alphabet: tuple[GeneratorLabel, ...],
+    matrices: np.ndarray,
+    iso: IsotropySpec | Sequence[IsotropySpec],
+) -> np.ndarray:
+    """Worst covariance deviation max_g ||A_{f(g)} - U A_g U^dag|| of a stack.
+
+    ``matrices`` has shape (B, L, s, s) as in ``unitarity_residuals``;
+    ``iso`` is one isotropy for every family or a sequence of B, one per
+    family.  Returns shape (B,).  The image letters are gathered in one
+    take, U A U^dag is one matmul chain over the stack and every letter's
+    deviation comes from one ``operator_norm`` call; a family whose
+    entries are not finite or overflow scores NaN.
+    """
+    specs = (iso,) if isinstance(iso, IsotropySpec) else tuple(iso)
+    mats = _family_stack(alphabet, matrices)
+    u = np.stack([spec.coin_unitary for spec in specs])[:, None]
+    if u.shape[-2:] != mats.shape[-2:]:
         raise ValueError(
-            f"coin unitary has shape {u.shape}, walk coin dimension is {walk.coin_dim}"
+            f"coin unitary has shape {u.shape[-2:]}, walk coin dimension is {mats.shape[-1]}"
         )
-    mats = walk.transitions.matrices
-    worst = 0.0
-    for g in walk.presentation.alphabet:
-        image = iso.permutation.get(g)
-        if image is None:
-            raise ValueError(f"permutation does not act on {g.name}")
-        deviation = operator_norm(mats[image] - u @ mats[g] @ adjoint(u))
-        worst = max(worst, deviation)
-    return worst
+    missing = [g.name for spec in specs for g in alphabet if g not in spec.permutation]
+    if missing:
+        raise ValueError(f"permutation does not act on {missing[0]}")
+    images = np.array(
+        [[alphabet.index(spec.permutation[g]) for g in alphabet] for spec in specs], dtype=int
+    )
+    gathered = np.take_along_axis(mats, images[:, :, None, None], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = gathered - u @ mats @ adjoint(u)
+    return operator_norm(covariance).max(axis=1, initial=0.0)
+
+
+def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:
+    """Worst covariance deviation max_g ||A_{f(g)} - U A_g U^dag||, the walk
+    scored as a stack of one by ``isotropy_deviations``."""
+    return float(isotropy_deviations(walk.presentation.alphabet, walk.matrix_stack()[None], iso)[0])
 
 
 def isotropy_normalization_residual(walk: WalkSpec) -> float:

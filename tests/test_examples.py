@@ -258,6 +258,31 @@ def test_verification_suite_detects_corrupted_solution(g2_one):
     assert "g2_solutions" in failed
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("corruption, broken", [
+    (lambda m: m * 1.01, "worst unitarity 2.01e-02"),
+    # a unitary left factor keeps the constraints but not sigma_x covariance
+    (lambda m: np.diag([1.0, 1j]) @ m, "worst swap/sigma_x covariance 1.00e+00"),
+    (lambda m: m * np.nan, "worst unitarity nan"),
+], ids=["scaled", "rotated", "nan"])
+def test_verification_suite_detects_a_corrupted_g1_member(corruption, broken, monkeypatch):
+    # (II, n=0.8, sign -1) is member 15, also among the closure samples
+    g1_walk = ex.g1_walk
+
+    def corrupted(params=ex.G1Params()):
+        walk = g1_walk(params)
+        if (params.walk_class, params.n, params.sign) != ("II", 0.8, -1):
+            return walk
+        mats = {g: corruption(m) for g, m in walk.transitions.matrices.items()}
+        return WalkSpec(walk.presentation, walk.tiling, TransitionFamily(2, mats))
+
+    monkeypatch.setattr(ex, "g1_walk", corrupted)
+    report = ex.verification_suite(seed=3, scalar_samples=20)
+    failed = {item.name: item.detail for item in report.items if not item.passed}
+    assert set(failed) == {"g1_family_constraints", "g1_left_multiplication_closure"}
+    assert broken in failed["g1_family_constraints"]
+
+
 def test_scalar_rejection_is_total(g1_flat, g2_one, rng):
     for template in (g1_flat, g2_one):
         rejected, min_residual = ex.scalar_rejection_rate(template, 200, rng)

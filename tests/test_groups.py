@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,6 +256,60 @@ def test_relator_must_close_from_every_coset():
     assert [p.message for p in report.problems] == [
         "relator a t a^-1 t from coset 1 evaluates to ((-4,), j=1)"
     ]
+
+
+def _row_action(rows, word, index):
+    """Right action (v, j) -> (v + shift[j], target[j]) of a word, composed
+    from the forward rows {g: (targets, shifts)} without the package's
+    arithmetic.
+
+    (v, j) * g reads the row of g^-1 and gives (v - row shift, row target):
+    an inverse letter x^-1 reads x's row, a forward letter g the exact
+    inverse of g's row."""
+    target, shift = list(range(index)), [0] * index
+    for g in word:
+        if g.inverse() in rows:
+            step_target, step_shift = rows[g.inverse()]
+        else:
+            fwd_target, fwd_shift = rows[g]
+            step_target, step_shift = [0] * index, [0] * index
+            for j in range(index):
+                step_target[fwd_target[j]] = j
+                step_shift[fwd_target[j]] = -fwd_shift[j]
+        shift = [shift[j] - step_shift[target[j]] for j in range(index)]
+        target = [step_target[target[j]] for j in range(index)]
+    return target, shift
+
+
+def test_relator_sweep_accepts_exactly_the_group_actions():
+    # every index-3 table of <a, t | a^3, [a, t]> = Z_3 x Z with d = 1,
+    # representatives e, a, a^2, the a-map those representatives force,
+    # shifts in {-1, 0, 1} and inverse rows derived as exact inverses;
+    # the oracle accepts a table when every relator acts trivially on
+    # every (v, j) and representative j lands in coset j
+    a, a_inv = generator_pair("a")
+    t, t_inv = generator_pair("t")
+    relators = ((a, a, a), (a, t, a_inv, t_inv))
+    presentation = GroupPresentation((a, t), relators)
+    rep_words = ((), (a,), (a, a))
+    a_target = (2, 0, 1)
+    shifts = list(itertools.product((-1, 0, 1), repeat=3))
+    accepted = 0
+    for a_shift, t_target, t_shift in itertools.product(
+        shifts, itertools.permutations(range(3)), shifts
+    ):
+        rows = {a: (a_target, a_shift), t: (t_target, t_shift)}
+        forward = [(g, j, rows[g][0][j], (rows[g][1][j],)) for g in (a, t) for j in range(3)]
+        rules = [TilingRule(*row) for row in forward] + [
+            TilingRule(g.inverse(), target, j, (-shift[0],)) for g, j, target, shift in forward
+        ]
+        tiling = TilingData(1, 3, rep_words, tuple(rules))
+        oracle = all(
+            _row_action(rows, r, 3) == ([0, 1, 2], [0, 0, 0]) for r in relators
+        ) and all(_row_action(rows, w, 3)[0][0] == j for j, w in enumerate(rep_words))
+        assert validate_tiling(tiling, presentation).ok == oracle, (a_shift, t_target, t_shift)
+        accepted += oracle
+    assert accepted == 39
 
 
 def test_unpaired_shift_perturbation_breaks_inverse_consistency():

@@ -154,6 +154,19 @@ def test_cli_validate_empty_file(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["dispersion", "--grid", "3"], ["evolve", "--torus", "5", "--steps", "2"],
+])
+def test_cli_non_utf8_walk_file_is_a_parse_error(argv, tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(range(256))[-193:])  # 200 bytes
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: not UTF-8 text")
+
+
 def test_cli_dispersion_oracle(tmp_path):
     out = tmp_path / "d.csv"
     assert main([
@@ -405,7 +418,12 @@ def _scalar_g1_walk():
     ["evolve", "--example", "g2", "--init", "planewave", "--momentum", "1" + "0" * 400 + ",0"],
     ["validate", "{scalar_g1}", "--isotropy", "sigma_x"],
     ["validate", "{line}", "--isotropy", "sigma_z"],
-], ids=["momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1", "isotropy-not-ab"])
+    ["suite", "--samples", "0"],
+    ["suite", "--samples", "-3"],
+], ids=[
+    "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
+    "isotropy-not-ab", "suite-no-samples", "suite-negative-samples",
+])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}
     for name, walk in files.items():
@@ -431,6 +449,22 @@ def test_cli_overflowing_entry_fails_every_check(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unitarity residual nan exceeds 1.0e-10\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_covariance_fails_isotropy(tmp_path, capsys):
+    # Z A_a Z^dag negates a's 1e308 corner, so the a <-> b covariance
+    # deviation overflows to inf; its NaN norm used to be dropped by a
+    # running max and printed as "isotropy: ok"
+    path = tmp_path / "g2.json"
+    assert main(["show-example", "g2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["transitions"]["a"][0][1] = doc["transitions"]["b"][0][1] = [1e308, 0.0]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(path), "--isotropy", "sigma_z"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["isotropy deviation (sigma_z): nan", "isotropy: FAIL"]
 
 
 def test_package_submodules_are_not_shadowed():

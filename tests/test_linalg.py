@@ -45,6 +45,21 @@ def test_operator_norm_values():
     assert operator_norm(2.0 * PAULI_X) == pytest.approx(2.0)
 
 
+def test_operator_norm_of_1x1_stacks_is_the_modulus_without_an_svd(monkeypatch):
+    gen = np.random.default_rng(3)
+    m = gen.normal(size=(500, 1, 1)) + 1j * gen.normal(size=(500, 1, 1))
+    m *= 10.0 ** gen.integers(-8, 8, m.shape)
+    svd = np.linalg.svd(m, compute_uv=False)[:, 0]
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: pytest.fail("ran an SVD"))
+    norms = operator_norm(m)
+    assert_allclose(norms, svd, rtol=1e-15, atol=0.0)
+    m[[4, 9], 0, 0] = [np.inf, complex(0.0, np.nan)]
+    norms = operator_norm(m)
+    assert np.isnan(norms[[4, 9]]).all() and np.isfinite(np.delete(norms, [4, 9])).all()
+    assert np.isnan(operator_norm(np.array([[np.inf]])))
+    assert operator_norm(np.array([[3.0 - 4.0j]])) == 5.0
+
+
 def _random_unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from cosetwalk import examples as ex
 from cosetwalk.groups import GroupElement, generator_pair
-from cosetwalk.linalg import IDENTITY2
+from cosetwalk.linalg import IDENTITY2, adjoint, operator_norm
 from cosetwalk.walks import (
     IsotropySpec,
     TransitionFamily,
     WalkSpec,
     check_isotropy,
+    isotropy_deviations,
     isotropy_normalization_residual,
     unitarity_residual,
 )
@@ -118,6 +119,57 @@ def test_coin_dimension_mismatch_is_rejected(g1_massive):
     iso = IsotropySpec({g: g for g in g1_massive.presentation.alphabet}, np.eye(3))
     with pytest.raises(ValueError):
         check_isotropy(g1_massive, iso)
+
+
+def test_permutation_must_act_on_every_letter(g1_massive):
+    iso = IsotropySpec({A: A_INV, A_INV: A}, IDENTITY2)
+    with pytest.raises(ValueError, match="permutation does not act on b"):
+        check_isotropy(g1_massive, iso)
+
+
+def _letter_loop_isotropy(walk, iso):
+    """The former per-letter covariance loop."""
+    u = iso.coin_unitary
+    mats = walk.transitions.matrices
+    worst = 0.0
+    for g in walk.presentation.alphabet:
+        worst = max(worst, operator_norm(mats[iso.permutation[g]] - u @ mats[g] @ adjoint(u)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240811])
+def test_isotropy_deviations_equal_the_per_family_loop_bitwise(seed, g1_massive):
+    alphabet = g1_massive.presentation.alphabet
+    gen = np.random.default_rng(seed)
+    stack = gen.normal(size=(9, len(alphabet), 2, 2)) + 1j * gen.normal(size=(9, len(alphabet), 2, 2))
+    walks = [
+        WalkSpec(g1_massive.presentation, g1_massive.tiling, TransitionFamily(2, dict(zip(alphabet, m))))
+        for m in stack
+    ]
+    isos = [ex.g1_isotropy(), ex.g2_isotropy("I"), IsotropySpec({g: g for g in alphabet}, IDENTITY2)]
+    for iso in isos:
+        deviations = isotropy_deviations(alphabet, stack, iso)
+        assert deviations.shape == (9,)
+        expected = np.array([check_isotropy(walk, iso) for walk in walks])
+        assert deviations.tobytes() == expected.tobytes()
+        assert expected.tobytes() == np.array([_letter_loop_isotropy(w, iso) for w in walks]).tobytes()
+    per_family = isotropy_deviations(alphabet, stack[:3], isos)
+    assert per_family.tobytes() == np.array(
+        [check_isotropy(walk, iso) for walk, iso in zip(walks, isos)]
+    ).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_isotropy_deviations_score_a_non_finite_family_nan(g1_massive):
+    alphabet = g1_massive.presentation.alphabet
+    good = g1_massive.matrix_stack()
+    bad = good.copy()
+    bad[3, 1, 0] = np.inf
+    deviations = isotropy_deviations(alphabet, np.stack([good, bad, good]), ex.g1_isotropy())
+    assert np.isnan(deviations[1])
+    assert deviations[0] == deviations[2] == check_isotropy(g1_massive, ex.g1_isotropy())
+    with pytest.raises(ValueError, match="expected"):
+        isotropy_deviations(alphabet, good, ex.g1_isotropy())
 
 
 # --- normalization ----------------------------------------------------------
