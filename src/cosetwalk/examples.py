@@ -431,7 +431,9 @@ def verification_suite(
     # three extra mixing unitaries cos t I + i sin t sigma_x on every third member
     theta = rng.uniform(0.0, 2.0 * np.pi, (len(members[::3]), 3))[..., None, None]
     extra = np.cos(theta) * IDENTITY2 + 1j * np.sin(theta) * PAULI_X
-    multiplied = (extra[:, :, None] @ members[::3, None]).reshape(-1, *members.shape[1:])
+    # non-finite entries score NaN in the kernels below; building them must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        multiplied = (extra[:, :, None] @ members[::3, None]).reshape(-1, *members.shape[1:])
     worst = float(np.maximum(
         unitarity_residuals(tiling, alphabet, multiplied)[0],
         isotropy_deviations(alphabet, multiplied, iso),
@@ -454,7 +456,8 @@ def verification_suite(
         isotropy_deviations(alphabet, pair, (g2_isotropy("I"), g2_isotropy("II"))),
     ).max())
     y = ANTIUNITARY_Y
-    entrywise = float(np.abs(pair[1] - y @ pair[0].swapaxes(-1, -2) @ adjoint(y)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        entrywise = float(np.abs(pair[1] - y @ pair[0].swapaxes(-1, -2) @ adjoint(y)).max())
     items.append(
         SuiteItem(
             "g2_solutions",

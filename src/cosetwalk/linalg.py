@@ -74,16 +74,26 @@ def circular_distance(a, b):
     return np.abs(d)
 
 
-def _check_bound(values: np.ndarray, tol: float, batch: tuple[int, ...], error, what: str) -> None:
-    """Raise ``error`` at the first stack entry whose value exceeds tol; NaN fails."""
+def _check_bound(
+    values: np.ndarray, tol: float, batch: tuple[int, ...], error, what: str, offset: int = 0
+) -> None:
+    """Raise ``error`` at the first stack entry whose value exceeds tol; NaN fails.
+
+    ``offset`` is added to the first axis of the reported index, so a chunk
+    of a larger stack names the index in the whole stack.
+    """
     failing = np.flatnonzero(~(values <= tol))
     if failing.size:
         i = int(failing[0])
-        where = f" at stack index {tuple(int(x) for x in np.unravel_index(i, batch))}" if batch else ""
+        where = ""
+        if batch:
+            index = [int(x) for x in np.unravel_index(i, batch)]
+            index[0] += offset
+            where = f" at stack index {tuple(index)}"
         raise error(f"{what} {values[i]:.3e} exceeds {tol:.1e}{where}")
 
 
-def _check_unitary(flat: np.ndarray, batch: tuple[int, ...]) -> None:
+def _check_unitary(flat: np.ndarray, batch: tuple[int, ...], offset: int) -> None:
     """Raise NonUnitaryError at the first matrix with ||U^dag U - I||_2 above tol.
 
     ||M||_2 <= ||M||_F, so the Frobenius norm screens the stack and only the
@@ -98,10 +108,10 @@ def _check_unitary(flat: np.ndarray, batch: tuple[int, ...]) -> None:
     suspect = np.isfinite(defect) & (defect > DEFAULT_UNITARY_TOL)
     if suspect.any():
         defect[suspect] = operator_norm(gram[suspect])
-    _check_bound(defect, DEFAULT_UNITARY_TOL, batch, NonUnitaryError, "unitarity defect")
+    _check_bound(defect, DEFAULT_UNITARY_TOL, batch, NonUnitaryError, "unitarity defect", offset)
 
 
-def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Phases and eigenvectors of a unitary matrix or a stack of them.
 
     ``u`` has shape (..., n, n).  Returns phases (..., n), ascending in
@@ -124,6 +134,9 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NonUnitaryError ("eigenvalue modulus defect") naming the stack index;
     a residual miss with every eigenvalue on the circle stays an
     EigensolveError.
+
+    ``_offset`` is for callers that solve one stack in chunks: it is added
+    to the first axis of the stack index an error names.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
@@ -133,7 +146,7 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix dimension {n} exceeds {EIGENSOLVE_MAX_DIM}")
     batch = u.shape[:-2]
     flat = u.reshape((int(np.prod(batch)), n, n))
-    _check_unitary(flat, batch)
+    _check_unitary(flat, batch, _offset)
     try:
         values, vectors = np.linalg.eig(flat)
     except np.linalg.LinAlgError as exc:
@@ -152,9 +165,11 @@ def eigenpairs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         modulus = np.abs(np.abs(values) - 1.0).max(axis=-1, initial=0.0)
         _check_bound(
             np.where(modulus > DEFAULT_RESIDUAL_TOL, modulus, 0.0), DEFAULT_RESIDUAL_TOL,
-            batch, NonUnitaryError, "eigenvalue modulus defect",
+            batch, NonUnitaryError, "eigenvalue modulus defect", _offset,
         )
-        _check_bound(worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual")
+        _check_bound(
+            worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual", _offset
+        )
     return phases.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
 
 

@@ -259,12 +259,27 @@ def test_verification_suite_detects_corrupted_solution(g2_one):
 
 
 @pytest.mark.filterwarnings("error")
+def test_verification_suite_fails_an_infinite_g2_entry_without_warning(g2_one):
+    mats = {g: m.copy() for g, m in g2_one.transitions.matrices.items()}
+    mats[A][0, 0] = np.inf
+    corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats))
+    report = ex.verification_suite(
+        seed=3, scalar_samples=20, g2_variant_walks={"I": corrupted, "II": ex.g2_walk("II")}
+    )
+    failed = {item.name: item.detail for item in report.items if not item.passed}
+    assert set(failed) == {"g2_solutions"}
+    assert "worst constraint residual nan" in failed["g2_solutions"]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("corruption, broken", [
     (lambda m: m * 1.01, "worst unitarity 2.01e-02"),
     # a unitary left factor keeps the constraints but not sigma_x covariance
     (lambda m: np.diag([1.0, 1j]) @ m, "worst swap/sigma_x covariance 1.00e+00"),
     (lambda m: m * np.nan, "worst unitarity nan"),
-], ids=["scaled", "rotated", "nan"])
+    # the closure families multiply this member too: inf * 0 must not warn
+    (lambda m: np.where([[True, False], [False, False]], np.inf, m), "worst unitarity nan"),
+], ids=["scaled", "rotated", "nan", "inf"])
 def test_verification_suite_detects_a_corrupted_g1_member(corruption, broken, monkeypatch):
     # (II, n=0.8, sign -1) is member 15, also among the closure samples
     g1_walk = ex.g1_walk

@@ -1,12 +1,16 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
+from cosetwalk import spectral
 from cosetwalk.coarse import kspace_operators
 from cosetwalk.linalg import (
     NonUnitaryError,
     adjoint,
+    eigenpairs,
     operator_norm,
     phase_multiset_distance,
     wrap_phase,
@@ -265,3 +269,84 @@ def test_stencils_bitwise_equal_per_point_loop(maker, rng):
     assert bytes in {type(o) for o in outcomes}
     if walk.block_dim == 4:
         assert {BandCrossingError, ExtremumError} <= outcomes
+
+
+# --- chunked grid solve -------------------------------------------------------
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """Set the cores ``spectral`` sees as available to this process."""
+
+    def set_cores(count):
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cores
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Worker counts of the thread pools ``spectral`` starts."""
+    started = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording(workers):
+        started.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return started
+
+
+# 45^2 = 2025 points fit one chunk, 46^2 = 2116 need two, 91^2 = 8281 five
+@pytest.mark.parametrize("resolution", [45, 46, 91])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("maker", [lambda: ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), lambda: ex.g2_walk("I")], ids=["g1", "g2"])
+def test_chunked_grid_is_bitwise_one_call(maker, workers, resolution, cores, pools):
+    assert spectral.GRID_CHUNK == 2048
+    walk = maker()
+    cores(workers)
+    grid = dispersion_grid(walk, resolution)
+    assert np.array_equal(grid.phases, eigenpairs(kspace_operators(walk, grid.kpoints))[0])
+    assert pools == ([] if workers == 1 or resolution == 45 else [2])
+
+
+def _corrupt_grid_points(monkeypatch, resolution, indices):
+    """Scale the fiber operators at the given global grid indices by 1.1."""
+    axis = grid_axis(resolution)
+    kpoints = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    targets = kpoints[list(indices)]
+    build = spectral.kspace_operators
+
+    def corrupted(walk, chunk):
+        ops = build(walk, chunk)
+        ops[(chunk[:, None, :] == targets).all(axis=-1).any(axis=1)] *= 1.1
+        return ops
+
+    monkeypatch.setattr(spectral, "kspace_operators", corrupted)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("indices, named", [((5000,), 5000), ((3000, 5000), 3000), ((5000, 3000, 7000), 3000)])
+def test_chunked_grid_errors_name_the_global_index(g1_massive, monkeypatch, cores, workers, indices, named):
+    cores(workers)
+    _corrupt_grid_points(monkeypatch, 91, indices)
+    with pytest.raises(NonUnitaryError, match=rf"stack index \({named},\)$"):
+        dispersion_grid(g1_massive, 91)
+
+
+def test_one_chunk_or_one_core_starts_no_pool(g1_massive, monkeypatch, cores):
+    def no_pool(workers):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    cores(2)
+    band = int(np.argmin(np.abs(band_phases(g1_massive, (0.0, 0.0)) - np.arccos(0.6))))
+    assert np.all(np.isfinite(band_curvature(g1_massive, (0.0, 0.0), band)))
+    assert dispersion_grid(g1_massive, 45).phases.shape == (2025, 8)
+    cores(1)
+    assert dispersion_grid(g1_massive, 91).phases.shape == (8281, 8)
+    # without an affinity call the core count comes from os.cpu_count
+    monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 1)
+    assert dispersion_grid(g1_massive, 91).phases.shape == (8281, 8)
