@@ -33,6 +33,7 @@ MAX_ARRAY_ENTRIES = 2**24
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXAMPLE_PARAMS = {"g1": ("n", "m", "class", "sign"), "g2": ("class",)}
 
 
 class UsageError(Exception):
@@ -71,6 +72,10 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     with the example's closed-form phases (None for a file)."""
     fields = _parse_params(args.params)
     if args.example:
+        allowed = EXAMPLE_PARAMS.get(args.example, tuple(fields))  # unknown names fail below
+        unknown = [key for key in fields if key not in allowed]
+        if unknown:
+            raise UsageError(f"--example {args.example} takes {', '.join(allowed)}, not {unknown[0]!r}")
         g1_params = _g1_params(fields) if args.example == "g1" else None
         try:
             return examples.builtin_walk(
@@ -79,6 +84,8 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
         except (KeyError, ValueError) as exc:
             raise UsageError(exc.args[0]) from exc
     if args.path:
+        if args.params is not None:
+            raise UsageError("--params applies only to --example")
         return load_walk(args.path), None
     raise UsageError("provide a walk-spec file or --example g1|g2")
 
@@ -208,6 +215,8 @@ def cmd_show_example(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     report = examples.verification_suite(seed=args.seed, scalar_samples=args.samples)
     print(report.summary())
     return EXIT_OK if report.all_passed else EXIT_FAILURE

@@ -1,7 +1,10 @@
-"""Coset coarse-graining in wave-vector space.
+"""The paper's reduction: the coset-tiled walk as a walk on Z^d.
 
-At wave-vector k the walk acts on an (s*l)-dimensional fiber; block (i, j)
-of the operator is  sum over g with target(g, j) = i of A_g e^{-i k.h_{j,g}}.
+Grouping the table rules by displacement gives the coarse-grained walk
+W = sum_h T_h (x) B_h with an (l s)-dimensional coin: T_h translates by h,
+and block (target, coset) of B_h sums the A_g of the rules with shift h
+that map coset to target.  ``shift_blocks`` is the one place that builds
+the B_h; the fiber operator at wave-vector k is U(k) = sum_h e^{-i k.h} B_h.
 Wave-vector components are the pairings of k with the tiling's H-basis
 vectors, and the principal domain is (-pi, pi] per component.
 """
@@ -20,21 +23,36 @@ class RetileError(ValueError):
     """Proposed representative words do not give a translated transversal."""
 
 
+def shift_blocks(walk: WalkSpec) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Distinct displacements h and their fiber blocks B_h.
+
+    Returns the shifts, zero shift first (with a zero block when no rule
+    stays put), and an array (len(shifts), l s, l s) whose entry i is B_h
+    for h = shifts[i].  Rules sharing (shift, coset, target) add into one
+    block.
+    """
+    s = walk.coin_dim
+    zero = (0,) * walk.tiling.dimension
+    shifts = [zero] + sorted({rule.shift for rule in walk.tiling.rules} - {zero})
+    position = {h: i for i, h in enumerate(shifts)}
+    blocks = np.zeros((len(shifts), walk.block_dim, walk.block_dim), dtype=complex)
+    for rule in walk.tiling.rules:
+        rows = slice(s * rule.target, s * rule.target + s)
+        cols = slice(s * rule.coset, s * rule.coset + s)
+        blocks[position[rule.shift], rows, cols] += walk.transitions.matrix(rule.generator)
+    return tuple(shifts), blocks
+
+
 def kspace_operators(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:
-    """Fiber operators for a batch of wave-vectors, shape (nk, s*l, s*l)."""
+    """Fiber operators U(k) = sum_h e^{-i k.h} B_h for a batch of
+    wave-vectors, shape (nk, s*l, s*l)."""
     kpoints = np.asarray(kpoints, dtype=float)
     if kpoints.ndim != 2 or kpoints.shape[1] != walk.tiling.dimension:
         raise ValueError(f"kpoints must have shape (nk, {walk.tiling.dimension})")
-    s = walk.coin_dim
+    shifts, blocks = shift_blocks(walk)
+    phases = np.exp(-1j * (kpoints @ np.asarray(shifts, dtype=float).T))
     dim = walk.block_dim
-    out = np.zeros((kpoints.shape[0], dim, dim), dtype=complex)
-    for rule in walk.tiling.rules:
-        block = walk.transitions.matrix(rule.generator)
-        phase = np.exp(-1j * (kpoints @ np.asarray(rule.shift, dtype=float)))
-        rows = slice(s * rule.target, s * rule.target + s)
-        cols = slice(s * rule.coset, s * rule.coset + s)
-        out[:, rows, cols] += phase[:, None, None] * block
-    return out
+    return (phases @ blocks.reshape(len(shifts), dim * dim)).reshape(-1, dim, dim)
 
 
 def retile(walk: WalkSpec, new_rep_words: Sequence[Word]) -> WalkSpec:

@@ -3,13 +3,11 @@
 The state holds one amplitude per (site, coset, coin) cell.  A step sends
 the (v, j) component through every alphabet letter g: the amplitude block
 A_g psi(v, j) accumulates at site v - h_{j,g} (mod N) in coset target(g, j).
-Grouping the table rules by displacement gives the coarse-grained walk on
-Z^d with an (l s)-dimensional coin, W = sum_h T_h (x) B_h: T_h translates by
-h and block (target, coset) of B_h sums the A_g of the rules with shift h
-that map coset to target, the same layout as ``coarse.kspace_operators``
-(U(k) = sum_h e^{-i k.h} B_h).  ``step`` applies W as one fiber matmul and
-one wrapped shift-add per distinct displacement.  The torus must be wide
-enough that no displacement wraps onto itself within a single step.
+``step`` applies the coarse-grained walk W = sum_h T_h (x) B_h of
+``coarse.shift_blocks`` as one fiber matmul and one wrapped shift-add per
+distinct displacement; ``evolve_fourier`` applies U(k) at every torus
+momentum.  The torus must be wide enough that no displacement wraps onto
+itself within a single step.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import kspace_operators
+from .coarse import kspace_operators, shift_blocks
 from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
@@ -108,26 +106,6 @@ def make_plane_wave(
     return LatticeState(sizes, amps)
 
 
-def shift_blocks(walk: WalkSpec) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Distinct displacements h and their fiber blocks B_h, transposed.
-
-    Returns the shifts, zero shift first (with a zero block when no rule
-    stays put), and an array (len(shifts), l s, l s) whose entry i is B_h^T
-    for h = shifts[i], so that ``fiber @ blocks[i]`` applies B_h to a row of
-    fiber vectors.  Rows sharing (shift, coset, target) add into one block.
-    """
-    s = walk.coin_dim
-    zero = (0,) * walk.tiling.dimension
-    shifts = [zero] + sorted({rule.shift for rule in walk.tiling.rules} - {zero})
-    position = {h: i for i, h in enumerate(shifts)}
-    blocks = np.zeros((len(shifts), walk.block_dim, walk.block_dim), dtype=complex)
-    for rule in walk.tiling.rules:
-        rows = slice(s * rule.coset, s * rule.coset + s)
-        cols = slice(s * rule.target, s * rule.target + s)
-        blocks[position[rule.shift], rows, cols] += walk.transitions.matrix(rule.generator).T
-    return tuple(shifts), blocks
-
-
 def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...]):
     """(destination, source) slice pairs with out[v] += term[(v + shift) mod sizes]."""
     per_axis = []
@@ -149,6 +127,7 @@ def step(walk: WalkSpec, state: LatticeState) -> LatticeState:
     """
     _check_torus(walk, state.sizes)
     shifts, blocks = shift_blocks(walk)
+    blocks = blocks.transpose(0, 2, 1)  # fiber @ B_h^T applies B_h to each row
     fiber = state.amplitudes.reshape(-1, walk.block_dim)
     out = fiber @ blocks[0]
     # products land in one reused buffer and are added through slices:

@@ -80,9 +80,10 @@ class G1Params:
             raise ValueError(f"walk_class must be 'I' or 'II', got {self.walk_class!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.n < 0 or self.m < 0:
+        # written so that NaN fails every check
+        if not (self.n >= 0 and self.m >= 0):
             raise ValueError("n and m must be nonnegative")
-        if abs(self.n * self.n + self.m * self.m - 1.0) > 1e-12:
+        if not abs(self.n * self.n + self.m * self.m - 1.0) <= 1e-12:
             raise ValueError(f"n^2 + m^2 = {self.n**2 + self.m**2} is not 1")
 
 

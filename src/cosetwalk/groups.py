@@ -12,8 +12,8 @@ arithmetic in this module is over exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 
 class GroupArithmeticError(Exception):
@@ -89,10 +89,6 @@ def generator_pair(base: str) -> tuple[GeneratorLabel, GeneratorLabel]:
 
 Word = tuple[GeneratorLabel, ...]
 """A word is an ordered tuple of labels; the empty tuple is the identity."""
-
-
-def word_inverse(w: Word) -> Word:
-    return tuple(g.inverse() for g in reversed(w))
 
 
 @dataclass(frozen=True)
@@ -202,30 +198,9 @@ class TilingData:
         except KeyError:
             raise TilingError(f"table has no row for ({g.name}, j={coset})") from None
 
-    @cached_property
-    def translation_catalog(self) -> tuple[tuple[tuple[int, ...], Word], ...]:
-        """Nonzero lattice vectors that the table gives generator words for.
-
-        Each rule with shift h yields the word  rep[target] g rep[coset]^-1
-        for the subgroup element h; inverses are included.
-        """
-        catalog: dict[tuple[int, ...], Word] = {}
-        for rule in self.rules:
-            if all(s == 0 for s in rule.shift):
-                continue
-            w = (
-                self.rep_words[rule.target]
-                + (rule.generator,)
-                + word_inverse(self.rep_words[rule.coset])
-            )
-            catalog.setdefault(rule.shift, w)
-            negated = tuple(-s for s in rule.shift)
-            catalog.setdefault(negated, word_inverse(w))
-        return tuple(sorted(catalog.items()))
-
 
 # ---------------------------------------------------------------------------
-# canonical elements and the four core operations
+# canonical elements and word evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -266,114 +241,6 @@ def apply_word(element: GroupElement, w: Word, tiling: TilingData) -> GroupEleme
 def evaluate_word(w: Word, tiling: TilingData) -> GroupElement:
     """Canonical form of [w]; the empty word evaluates to the identity."""
     return apply_word(GroupElement.identity(tiling.dimension), w, tiling)
-
-
-def translation_word(tiling: TilingData, vector: tuple[int, ...]) -> Word:
-    """A generator word evaluating to the pure translation (vector, coset 0).
-
-    Solves an exact integer combination over the displacement vectors the
-    table provides words for; raises TilingError when the target is outside
-    the lattice they span.
-    """
-    w = _translation_word_cached(tiling, tuple(vector))
-    if w is None:
-        raise TilingError(
-            f"translation {tuple(vector)} is not an integer combination of "
-            "the table's displacement vectors"
-        )
-    return w
-
-
-@lru_cache(maxsize=None)
-def _translation_word_cached(tiling: TilingData, vector: tuple[int, ...]) -> Word | None:
-    if len(vector) != tiling.dimension:
-        raise ValueError(f"vector {vector} has wrong dimension")
-    if all(v == 0 for v in vector):
-        return ()
-    catalog = tiling.translation_catalog
-    columns = [vec for vec, _ in catalog]
-    coefficients = solve_integer_combination(columns, vector)
-    if coefficients is None:
-        return None
-    out: list[GeneratorLabel] = []
-    for (vec, w), c in zip(catalog, coefficients):
-        if c > 0:
-            out.extend(w * c)
-        elif c < 0:
-            out.extend(word_inverse(w) * (-c))
-    word = tuple(out)
-    result = evaluate_word(word, tiling)
-    if result != GroupElement(vector, 0):
-        raise TilingError(
-            f"translation word for {vector} evaluates to {result}; "
-            "the tiling table is inconsistent"
-        )
-    return word
-
-
-def invert_element(element: GroupElement, tiling: TilingData) -> GroupElement:
-    """Canonical form of element^-1.
-
-    (v c_j)^-1 = c_j^-1 (-v): evaluate the reversed-inverted representative
-    word, then append a word for the translation -v.
-    """
-    w = word_inverse(tiling.rep_words[element.coset])
-    if any(element.vector):
-        w = w + translation_word(tiling, tuple(-v for v in element.vector))
-    return evaluate_word(w, tiling)
-
-
-def solve_integer_combination(
-    columns: list[tuple[int, ...]], target: Iterable[int]
-) -> list[int] | None:
-    """Exact integer coefficients n with sum_i n_i * columns[i] == target.
-
-    Column-style Hermite reduction with unimodular bookkeeping; returns None
-    when no integer solution exists.  Meant for the tiny lattices that occur
-    in tilings (dimension <= 4, a handful of columns).
-    """
-    target = list(target)
-    d = len(target)
-    m = len(columns)
-    if any(len(c) != d for c in columns):
-        raise ValueError("column dimensions do not match the target")
-    if all(t == 0 for t in target):
-        return [0] * m
-    if m == 0:
-        return None
-    cols = [list(c) for c in columns]
-    combo = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivot_rows: list[int] = []
-    for r in range(d):
-        start = len(pivot_rows)
-        active = [c for c in range(start, m) if cols[c][r] != 0]
-        while len(active) > 1:
-            active.sort(key=lambda c: abs(cols[c][r]))
-            c0 = active[0]
-            for c in active[1:]:
-                q = cols[c][r] // cols[c0][r]
-                cols[c] = [x - q * y for x, y in zip(cols[c], cols[c0])]
-                combo[c] = [x - q * y for x, y in zip(combo[c], combo[c0])]
-            active = [c for c in active if cols[c][r] != 0]
-        if active:
-            c0 = active[0]
-            cols[start], cols[c0] = cols[c0], cols[start]
-            combo[start], combo[c0] = combo[c0], combo[start]
-            pivot_rows.append(r)
-    weights = [0] * m
-    residual = list(target)
-    for idx, r in enumerate(pivot_rows):
-        pivot = cols[idx][r]
-        if residual[r] % pivot:
-            return None
-        q = residual[r] // pivot
-        weights[idx] = q
-        residual = [x - q * y for x, y in zip(residual, cols[idx])]
-    if any(residual):
-        return None
-    return [
-        sum(weights[idx] * combo[idx][o] for idx in range(m)) for o in range(m)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,7 @@ def wrap_phase(x):
 
 def circular_distance(a, b):
     """Pointwise distance on the circle, in [0, pi]."""
-    d = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    return np.abs(d)
+    return np.abs(wrap_phase(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
 def _check_bound(

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
-from cosetwalk.coarse import kspace_operators
+from cosetwalk.coarse import kspace_operators, retile, shift_blocks
 from cosetwalk.evolve import (
     LatticeState,
     TorusSizeError,
@@ -14,7 +14,6 @@ from cosetwalk.evolve import (
     make_plane_wave,
     minimum_torus_size,
     probability_map,
-    shift_blocks,
     step,
 )
 from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
@@ -258,8 +257,8 @@ def test_rules_sharing_a_slot_add_into_one_block(rng):
     assert shifts == ((0,), (-1,), (1,))
     assert not blocks[0].any()  # no rule stays put
     m = walk.transitions.matrix
-    assert_allclose(blocks[2], (m(t) + m(u)).T, rtol=0, atol=1e-15)
-    assert_allclose(blocks[1], (m(t_inv) + m(u_inv)).T, rtol=0, atol=1e-15)
+    assert_allclose(blocks[2], m(t) + m(u), rtol=0, atol=1e-15)
+    assert_allclose(blocks[1], m(t_inv) + m(u_inv), rtol=0, atol=1e-15)
     state = random_state(rng, walk, (7,))
     for steps in (1, 5):
         stepped = evolve(walk, state, steps).amplitudes
@@ -267,15 +266,36 @@ def test_rules_sharing_a_slot_add_into_one_block(rng):
         assert np.abs(stepped - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
 
 
-@pytest.mark.parametrize("walk", ALL_WALKS + [shift_walk_1d()], ids=WALK_IDS + ["line"])
+def per_rule_kspace_operators(walk, kpoints):
+    """Reference build: each table rule's A_g e^{-i k.h} added into block (target, coset)."""
+    kpoints = np.asarray(kpoints, dtype=float)
+    s, dim = walk.coin_dim, walk.block_dim
+    out = np.zeros((kpoints.shape[0], dim, dim), dtype=complex)
+    for rule in walk.tiling.rules:
+        phase = np.exp(-1j * (kpoints @ np.asarray(rule.shift, dtype=float)))
+        rows = slice(s * rule.target, s * rule.target + s)
+        cols = slice(s * rule.coset, s * rule.coset + s)
+        out[:, rows, cols] += phase[:, None, None] * walk.transitions.matrix(rule.generator)
+    return out
+
+
+# coset 1 represented by (a^-1 b) a, a translate of a, so the shifts change
+RETILED_G1 = retile(ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), ((), (A_INV, B, A), (A, A), (A, A, A)))
+
+
+@pytest.mark.parametrize(
+    "walk", ALL_WALKS + [shift_walk_1d(), RETILED_G1], ids=WALK_IDS + ["line", "g1-retiled"]
+)
 def test_shift_blocks_sum_to_the_kspace_operator(walk, rng):
-    # U(k) = sum_h e^{-i k.h} B_h: stepping uses the paper's coarse-grained walk
-    shifts, blocks = shift_blocks(walk)
+    # U(k) = sum_h e^{-i k.h} B_h agrees with the rule-by-rule build
+    shifts, _ = shift_blocks(walk)
     assert shifts[0] == (0,) * walk.tiling.dimension and len(set(shifts)) == len(shifts)
-    kpoints = rng.uniform(-np.pi, np.pi, (12, walk.tiling.dimension))
-    phases = np.exp(-1j * kpoints @ np.asarray(shifts, dtype=float).T)
-    summed = np.einsum("kh,hij->kji", phases, blocks)
-    assert np.abs(summed - kspace_operators(walk, kpoints)).max() <= 1e-14
+    d = walk.tiling.dimension
+    axis = np.linspace(-np.pi, np.pi, 129)
+    grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+    for kpoints in (rng.uniform(-np.pi, np.pi, (200, d)), grid):
+        reference = per_rule_kspace_operators(walk, kpoints)
+        assert np.abs(kspace_operators(walk, kpoints) - reference).max() <= 1e-15
 
 
 def test_zero_steps_return_the_input_and_small_tori_still_fail(g1_massive):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from cosetwalk import examples as ex
 from cosetwalk.groups import (
@@ -15,12 +15,8 @@ from cosetwalk.groups import (
     evaluate_word,
     generator,
     generator_pair,
-    invert_element,
     right_multiply,
-    solve_integer_combination,
-    translation_word,
     validate_tiling,
-    word_inverse,
 )
 
 A, A_INV = generator_pair("a")
@@ -28,6 +24,22 @@ B, B_INV = generator_pair("b")
 
 G1 = ex.g1_walk()
 G2 = ex.g2_walk("I")
+
+# words for the H-basis translations (1, 0) and (0, 1)
+G1_BASIS = ((A_INV, B), (B, A_INV))
+G2_BASIS = ((A, A), (A_INV, B))
+
+
+def _inverse(w):
+    return tuple(g.inverse() for g in reversed(w))
+
+
+def _translation(basis, vector):
+    """A word for the translation (vector, coset 0), one basis word per unit."""
+    out = ()
+    for word, v in zip(basis, vector):
+        out += (word if v >= 0 else _inverse(word)) * abs(v)
+    return out
 
 
 def test_label_inversion_is_involution():
@@ -80,7 +92,7 @@ def test_generator_then_inverse_cancels_on_all_rows(walk):
 def test_g1_word_then_inverse_word_cancels(vx, vy, j, letters):
     e = GroupElement((vx, vy), j)
     w = tuple(letters)
-    assert apply_word(apply_word(e, w, G1.tiling), word_inverse(w), G1.tiling) == e
+    assert apply_word(apply_word(e, w, G1.tiling), _inverse(w), G1.tiling) == e
 
 
 def test_right_multiply_errors():
@@ -126,83 +138,49 @@ def test_g2_redundant_translation_identity():
 )
 def test_g1_translations_commute(coefficients, swap):
     cx, cy = coefficients
-    wx = translation_word(G1.tiling, (cx, 0))
-    wy = translation_word(G1.tiling, (0, cy))
+    wx = _translation(G1_BASIS, (cx, 0))
+    wy = _translation(G1_BASIS, (0, cy))
     first, second = (wy, wx) if swap else (wx, wy)
     assert evaluate_word(first + second, G1.tiling) == GroupElement((cx, cy), 0)
 
 
-# --- invert_element -------------------------------------------------------
+# --- inverses -------------------------------------------------------------
 
 
 def test_invert_identity_and_translations():
-    assert invert_element(GroupElement((0, 0), 0), G1.tiling) == GroupElement((0, 0), 0)
-    assert invert_element(GroupElement((4, -9), 0), G1.tiling) == GroupElement((-4, 9), 0)
+    # the inverse of the translation (4, -9) is (-4, 9)
+    word = _translation(G1_BASIS, (4, -9))
+    assert evaluate_word(word, G1.tiling) == GroupElement((4, -9), 0)
+    assert evaluate_word(_inverse(word), G1.tiling) == GroupElement((-4, 9), 0)
+    assert apply_word(GroupElement((4, -9), 0), _inverse(word), G1.tiling).is_identity
 
 
 def test_invert_coset_representative():
     # a = c_1, and a^-1 = a^3 sits in coset 3
-    assert invert_element(GroupElement((0, 0), 1), G1.tiling) == GroupElement((0, 0), 3)
+    assert evaluate_word((A_INV,), G1.tiling) == GroupElement((0, 0), 3)
+    assert evaluate_word((A,) * 3, G1.tiling) == GroupElement((0, 0), 3)
 
 
 def test_invert_g2_generators():
     # a has canonical form (h_2, coset 1); its inverse is (0, coset 1)
-    assert invert_element(GroupElement((1, 0), 1), G2.tiling) == GroupElement((0, 0), 1)
+    assert evaluate_word((A,), G2.tiling) == GroupElement((1, 0), 1)
+    assert evaluate_word((A_INV,), G2.tiling) == GroupElement((0, 0), 1)
     # b = (h_1, coset 1) with h_1 = (1, -1); b^-1 = (-h_3, coset 1)
-    assert invert_element(GroupElement((1, -1), 1), G2.tiling) == GroupElement((0, -1), 1)
+    assert evaluate_word((B,), G2.tiling) == GroupElement((1, -1), 1)
+    assert evaluate_word((B_INV,), G2.tiling) == GroupElement((0, -1), 1)
 
 
-@pytest.mark.parametrize("walk", [G1, G2], ids=["g1", "g2"])
-@given(vx=st.integers(-30, 30), vy=st.integers(-30, 30), j=st.integers(0, 3))
-@settings(max_examples=40)
-def test_invert_is_involution(walk, vx, vy, j):
-    e = GroupElement((vx, vy), j % walk.tiling.index)
-    assert invert_element(invert_element(e, walk.tiling), walk.tiling) == e
-
-
-@pytest.mark.parametrize("walk", [G1, G2], ids=["g1", "g2"])
-def test_inverse_times_element_word_is_identity(walk):
+@pytest.mark.parametrize("walk,basis", [(G1, G1_BASIS), (G2, G2_BASIS)], ids=["g1", "g2"])
+def test_inverse_times_element_word_is_identity(walk, basis):
     tiling = walk.tiling
     for j in range(tiling.index):
         e = GroupElement((2, -3), j)
         # build a word for e itself: translation then representative
-        w = translation_word(tiling, e.vector) + tiling.rep_words[e.coset]
+        w = _translation(basis, e.vector) + tiling.rep_words[e.coset]
         assert evaluate_word(w, tiling) == e
-        inv = invert_element(e, tiling)
+        inv = evaluate_word(_inverse(w), tiling)
         assert apply_word(inv, w, tiling).is_identity
-
-
-# --- integer combination solver -------------------------------------------
-
-
-def test_solver_basic_cases():
-    assert solve_integer_combination([(1, 0), (0, 1)], (3, -2)) == [3, -2]
-    assert solve_integer_combination([], (0, 0)) == []
-    assert solve_integer_combination([(2, 0), (0, 2)], (1, 0)) is None
-    # spanning needs mixing: (1,1) and (1,-1) span an index-2 sublattice
-    assert solve_integer_combination([(1, 1), (1, -1)], (1, 0)) is None
-    n = solve_integer_combination([(1, 1), (1, -1)], (4, 2))
-    assert n == [3, 1]
-
-
-@given(
-    columns=st.lists(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-        min_size=1,
-        max_size=5,
-    ),
-    weights=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
-)
-def test_solver_recovers_reachable_targets(columns, weights):
-    target = tuple(
-        sum(w * c[i] for w, c in zip(weights, columns)) for i in range(3)
-    )
-    solution = solve_integer_combination(columns, target)
-    assert solution is not None
-    rebuilt = tuple(
-        sum(n * c[i] for n, c in zip(solution, columns)) for i in range(3)
-    )
-    assert rebuilt == target
+        assert apply_word(e, _inverse(w), tiling).is_identity
 
 
 # --- validate_tiling ------------------------------------------------------

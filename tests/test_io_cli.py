@@ -137,6 +137,15 @@ def test_cli_export_then_validate(tmp_path, capsys):
     assert "isotropy: ok" in text
 
 
+@pytest.mark.parametrize("params", ["n=nan,m=0", "n=1,m=nan", "class=II,nu=0.6"])
+def test_cli_show_example_rejects_bad_params_without_writing(params, tmp_path, capsys):
+    out = tmp_path / "g1.json"
+    assert main(["show-example", "g1", "--params", params, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_validate_rejects_corrupted_table(tmp_path, capsys):
     out = tmp_path / "g2.json"
     assert main(["show-example", "g2", "--out", str(out)]) == 0
@@ -420,9 +429,16 @@ def _scalar_g1_walk():
     ["validate", "{line}", "--isotropy", "sigma_z"],
     ["suite", "--samples", "0"],
     ["suite", "--samples", "-3"],
+    ["suite", "--seed", "-1"],
+    ["dispersion", "--example", "g1", "--params", "n=nan,m=0", "--grid", "5"],
+    ["dispersion", "--example", "g1", "--params", "n=1,m=nan", "--grid", "5"],
+    ["dispersion", "--example", "g1", "--params", "class=II,nu=0.6", "--grid", "5"],
+    ["dispersion", "--example", "g2", "--params", "n=0.6", "--grid", "5"],
+    ["dispersion", "{line}", "--params", "class=I", "--grid", "5"],
 ], ids=[
     "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
-    "isotropy-not-ab", "suite-no-samples", "suite-negative-samples",
+    "isotropy-not-ab", "suite-no-samples", "suite-negative-samples", "suite-negative-seed",
+    "g1-nan-n", "g1-nan-m", "g1-unknown-param", "g2-unknown-param", "file-with-params",
 ])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}

@@ -208,6 +208,20 @@ def test_wrap_phase_boundary_maps_to_positive_pi():
     assert float(wrap_phase(np.pi)) == np.pi
 
 
+def test_circular_distance_equals_the_inline_wrap_bit_for_bit(rng):
+    def inline(a, b):
+        return np.abs(np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi)
+
+    a = rng.uniform(-20.0, 20.0, (64, 8))
+    b = rng.uniform(-20.0, 20.0, (64, 8))
+    assert np.array_equal(circular_distance(a, b), inline(a, b))
+    base = rng.uniform(-np.pi, np.pi, 40)
+    for offset in (np.pi, -np.pi, 0.0, 2.0 * np.pi, -2.0 * np.pi):
+        assert np.array_equal(circular_distance(base + offset, base), inline(base + offset, base))
+        edge = np.array([offset, 0.0])
+        assert np.array_equal(circular_distance(edge, 0.0), inline(edge, 0.0))
+
+
 def test_multiset_distance_handles_wraparound():
     eps = 1e-6
     a = [np.pi - eps, 0.1]
