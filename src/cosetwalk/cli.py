@@ -47,8 +47,10 @@ def _parse_params(raw: str | None) -> dict[str, str]:
     for chunk in raw.split(","):
         if "=" not in chunk:
             raise UsageError(f"malformed --params entry {chunk!r}; expected key=value")
-        key, value = chunk.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in out:
+            raise UsageError(f"--params gives {key!r} twice")
+        out[key] = value
     return out
 
 
@@ -71,6 +73,8 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     """Walk from --example (with --params) or from a walk-spec file, paired
     with the example's closed-form phases (None for a file)."""
     fields = _parse_params(args.params)
+    if args.example and args.path:
+        raise UsageError("give a walk-spec file or --example, not both")
     if args.example:
         allowed = EXAMPLE_PARAMS.get(args.example, tuple(fields))  # unknown names fail below
         unknown = [key for key in fields if key not in allowed]

@@ -3,11 +3,12 @@
 The state holds one amplitude per (site, coset, coin) cell.  A step sends
 the (v, j) component through every alphabet letter g: the amplitude block
 A_g psi(v, j) accumulates at site v - h_{j,g} (mod N) in coset target(g, j).
-``step`` applies the coarse-grained walk W = sum_h T_h (x) B_h of
-``coarse.shift_blocks`` as one fiber matmul and one wrapped shift-add per
-distinct displacement; ``evolve_fourier`` applies U(k) at every torus
-momentum.  The torus must be wide enough that no displacement wraps onto
-itself within a single step.
+``evolve`` applies the coarse-grained walk W = sum_h T_h (x) B_h of
+``coarse.shift_blocks`` in coset-major layout (l, s, sites), with one product
+per (shift, target coset) pair that table rules connect instead of a dense
+B_h product; ``step`` is one such step.  ``evolve_fourier`` applies U(k) at
+every torus momentum.  The torus must be wide enough that no displacement
+wraps onto itself within a single step.
 """
 
 from __future__ import annotations
@@ -120,35 +121,66 @@ def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...]):
 
 
 def step(walk: WalkSpec, state: LatticeState) -> LatticeState:
-    """One application of the walk operator; norm preserved for unitary walks.
-
-    psi'(v) = sum_h B_h psi(v + h): one (sites, l s) @ (l s, l s) product
-    per distinct shift, added into the output through wrapped slices.
-    """
-    _check_torus(walk, state.sizes)
-    shifts, blocks = shift_blocks(walk)
-    blocks = blocks.transpose(0, 2, 1)  # fiber @ B_h^T applies B_h to each row
-    fiber = state.amplitudes.reshape(-1, walk.block_dim)
-    out = fiber @ blocks[0]
-    # products land in one reused buffer and are added through slices:
-    # np.roll would allocate a fresh state-sized array per shift
-    term = np.empty_like(out)
-    out_sites = out.reshape(state.sizes + (walk.block_dim,))
-    term_sites = term.reshape(out_sites.shape)
-    for shift, block in zip(shifts[1:], blocks[1:]):
-        np.matmul(fiber, block, out=term)
-        for dst, src in _wrapped_pieces(state.sizes, shift):
-            out_sites[dst] += term_sites[src]
-    return LatticeState(state.sizes, out.reshape(state.amplitudes.shape))
+    """One application of the walk operator; norm preserved for unitary walks."""
+    return evolve(walk, state, 1)
 
 
 def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
-    """``steps`` repeated applications of ``step``."""
+    """``steps`` applications of psi'(v) = sum_h B_h psi(v + h).
+
+    The amplitudes are copied once into a coset-major (l, s, sites) array,
+    and the steps alternate between two such buffers.  For each shift h and
+    target coset t that table rules connect, one product applies the rows of
+    B_h for t, over the columns of their source cosets from the lowest to the
+    highest, and adds the result into out[t] through wrapped slices.  One
+    product per (h, t) rather than per tile keeps each entry's sum in the
+    order of a dense B_h product.
+    """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    if steps == 0:
+        return state
+    _check_torus(walk, state.sizes)
+    l, s = walk.tiling.index, walk.coin_dim
+    sites = state.amplitudes.size // walk.block_dim
+    shifts, blocks = shift_blocks(walk)
+    position = {h: i for i, h in enumerate(shifts)}
+    sources: dict[tuple[int, int], set[int]] = {}  # (shift index, target) -> cosets
+    for rule in walk.tiling.rules:
+        sources.setdefault((position[rule.shift], rule.target), set()).add(rule.coset)
+    plan = []  # (row strip of B_h, span of source cosets, target, wrapped slices)
+    for (i, t), cosets in sorted(sources.items()):
+        lo, hi = min(cosets), max(cosets) + 1
+        strip = np.ascontiguousarray(blocks[i, s * t : s * t + s, s * lo : s * hi])
+        pieces = None if i == 0 else [
+            ((slice(None),) + dst, (slice(None),) + src)
+            for dst, src in _wrapped_pieces(state.sizes, shifts[i])
+        ]
+        plan.append((strip, slice(lo, hi), t, pieces))
+    unwritten = [t for t in range(l) if (0, t) not in sources]
+
+    psi = np.empty((l, s, sites), dtype=complex)
+    # an explicit copy: a reshape or transpose may be a view of the caller's state
+    psi.reshape(l * s, sites)[...] = state.amplitudes.reshape(sites, l * s).T
+    out = np.empty_like(psi)
+    term = np.empty((s, sites), dtype=complex)
+    term_sites = term.reshape((s,) + state.sizes)
     for _ in range(steps):
-        state = step(walk, state)
-    return state
+        for t in unwritten:
+            out[t] = 0.0
+        for strip, span, t, pieces in plan:
+            source = psi[span].reshape(-1, sites)
+            if pieces is None:
+                np.matmul(strip, source, out=out[t])
+                continue
+            np.matmul(strip, source, out=term)
+            out_sites = out[t].reshape(term_sites.shape)
+            for dst, src in pieces:
+                out_sites[dst] += term_sites[src]
+        psi, out = out, psi
+    amplitudes = out.reshape(sites, l * s)  # the spare buffer takes the result back
+    amplitudes[...] = psi.reshape(l * s, sites).T
+    return LatticeState(state.sizes, amplitudes.reshape(state.amplitudes.shape))
 
 
 def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:

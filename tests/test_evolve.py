@@ -266,6 +266,50 @@ def test_rules_sharing_a_slot_add_into_one_block(rng):
         assert np.abs(stepped - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
 
 
+def test_evolve_leaves_the_input_amplitudes_unchanged(rng):
+    # for l = s = 1 a reshape or transpose of the state is a view of it
+    walks = [shift_walk_1d(), shared_slot_walk(rng)] + ALL_WALKS
+    for walk in walks:
+        sizes = (9,) * walk.tiling.dimension
+        state = random_state(rng, walk, sizes)
+        before = state.amplitudes.copy()
+        for steps in (1, 2, 5):
+            evolve(walk, state, steps)
+            assert np.array_equal(state.amplitudes, before)
+        step(walk, state)
+        assert np.array_equal(state.amplitudes, before)
+
+
+def one_target_walk(rng):
+    """Index-2 walk on Z whose rules all land in coset 0: coset 1 is never
+    written, so a reused buffer must still read exactly 0 there."""
+    t, t_inv = generator_pair("t")
+    tiling = TilingData(
+        dimension=1,
+        index=2,
+        rep_words=((), (t,)),
+        rules=(
+            TilingRule(t, 0, 0, (1,)),
+            TilingRule(t, 1, 0, (0,)),
+            TilingRule(t_inv, 0, 0, (-1,)),
+            TilingRule(t_inv, 1, 0, (2,)),
+        ),
+    )
+    matrices = {g: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for g in (t, t_inv)}
+    return WalkSpec(GroupPresentation((t,), ()), tiling, TransitionFamily(2, matrices))
+
+
+def test_a_coset_no_rule_targets_reads_zero_after_every_step(rng):
+    walk = one_target_walk(rng)
+    state = random_state(rng, walk, (7,))
+    for steps in (1, 2, 5):
+        stepped = evolve(walk, state, steps).amplitudes
+        assert not stepped[:, 1, :].any()
+        reference = per_rule_evolve(walk, state, steps).amplitudes
+        assert np.abs(stepped - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
+    assert np.array_equal(step(walk, state).amplitudes, evolve(walk, state, 1).amplitudes)
+
+
 def per_rule_kspace_operators(walk, kpoints):
     """Reference build: each table rule's A_g e^{-i k.h} added into block (target, coset)."""
     kpoints = np.asarray(kpoints, dtype=float)

@@ -435,10 +435,13 @@ def _scalar_g1_walk():
     ["dispersion", "--example", "g1", "--params", "class=II,nu=0.6", "--grid", "5"],
     ["dispersion", "--example", "g2", "--params", "n=0.6", "--grid", "5"],
     ["dispersion", "{line}", "--params", "class=I", "--grid", "5"],
+    ["validate", "{line}", "--example", "g2"],
+    ["dispersion", "--example", "g1", "--params", "n=0.3,n=1,m=0", "--grid", "5", "--oracle"],
 ], ids=[
     "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
     "isotropy-not-ab", "suite-no-samples", "suite-negative-samples", "suite-negative-seed",
     "g1-nan-n", "g1-nan-m", "g1-unknown-param", "g2-unknown-param", "file-with-params",
+    "file-with-example", "repeated-param",
 ])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}
