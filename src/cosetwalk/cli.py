@@ -128,6 +128,8 @@ def _add_walk_source(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise UsageError(f"--tolerance must be a finite nonnegative number, got {args.tolerance}")
     walk, _ = _resolve_walk(args)
     if args.isotropy and (
         set(walk.presentation.alphabet) != set(examples.SWAP_AB) or walk.coin_dim != 2

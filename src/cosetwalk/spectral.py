@@ -4,11 +4,8 @@ curvature by finite differences.
 Every k-space solve stacks the fiber operators of its wave-vectors and
 hands them to ``linalg.eigenpairs``, so grids and stencils share one
 unitarity check, eigensolve, sort and residual certificate.  A stencil
-(5-9 points) is one call; a grid is solved in chunks of GRID_CHUNK points
-on one thread per available core (numpy's linalg gufuncs and ``matmul``
-release the GIL), each chunk keeping only its phases.  Every matrix is
-solved alone either way, so the phases are the same bits as one call, and
-peak memory is bounded by the worker count times one chunk.
+(5-9 points) is one call; a grid keeps only the phases of each
+``coarse.map_kchunks`` chunk.
 
 Bands are indexed by sorted phase at each k independently; crossing points
 show up as kinks of the sorted bands and are detected (never silently
@@ -17,19 +14,17 @@ differentiated across).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import kspace_operators
+from .coarse import kspace_operators, map_kchunks
 from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
 VELOCITY_STEP = 1e-5
 CURVATURE_STEP = 1e-3
 GRADIENT_TOLERANCE = 1e-6
-GRID_CHUNK = 2048
 
 
 class BandCrossingError(RuntimeError):
@@ -65,15 +60,6 @@ def grid_axis(resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * steps / resolution
 
 
-def _worker_count(chunks: int) -> int:
-    """One worker per core this process may run on, at most one per chunk."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(cores, chunks)
-
-
 def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     """Eigenphase sweep on the N^d wave-vector lattice (N = resolution >= 2).
 
@@ -86,26 +72,8 @@ def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     axis = grid_axis(resolution)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     kpoints = np.stack([m.ravel() for m in mesh], axis=1)
-    starts = range(0, len(kpoints), GRID_CHUNK)
-
-    def solve(start: int) -> np.ndarray:
-        chunk = kspace_operators(walk, kpoints[start:start + GRID_CHUNK])
-        return eigenpairs(chunk, _offset=start)[0]
-
-    # the workers share the walk and kpoints read-only; kspace_operators
-    # reads only plain fields of the walk, no lazily cached ones
-    workers = _worker_count(len(starts))
-    if workers == 1:
-        parts = [solve(start) for start in starts]
-    else:
-        # imported here: concurrent.futures pulls in logging, about 9 ms and
-        # 0.6 MB of start-up that every command would pay otherwise
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            # in order, so the earliest failing chunk raises
-            parts = list(pool.map(solve, starts))
-    return DispersionGrid(walk, resolution, axis, kpoints, np.concatenate(parts))
+    phases = map_kchunks(walk, kpoints, lambda start, ops: eigenpairs(ops, _offset=start)[0])
+    return DispersionGrid(walk, resolution, axis, kpoints, phases)
 
 
 def _components(k, dimension: int) -> np.ndarray:

@@ -1,6 +1,9 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from cosetwalk import coarse
 from cosetwalk import examples as ex
 
 
@@ -29,3 +32,27 @@ def g2_two():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """Set the cores ``coarse.map_kchunks`` sees as available to this process."""
+
+    def set_cores(count):
+        monkeypatch.setattr(coarse.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cores
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Worker counts of the thread pools ``coarse.map_kchunks`` starts."""
+    started = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording(workers):
+        started.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return started

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import cosetwalk.evolve as evolve_module
 from cosetwalk import examples as ex
 from cosetwalk.coarse import kspace_operators, retile, shift_blocks
 from cosetwalk.evolve import (
@@ -17,6 +18,7 @@ from cosetwalk.evolve import (
     step,
 )
 from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
+from cosetwalk.linalg import eigenpairs, wrap_phase
 from cosetwalk.walks import TransitionFamily, WalkSpec
 
 from test_coarse import shift_walk_1d
@@ -347,3 +349,86 @@ def test_zero_steps_return_the_input_and_small_tori_still_fail(g1_massive):
     assert evolve(g1_massive, state, 0).amplitudes.tobytes() == state.amplitudes.tobytes()
     with pytest.raises(TorusSizeError):
         step(g1_massive, LatticeState((2, 8), np.zeros((2, 8, 4, 2), dtype=complex)))
+
+
+# --- the Fourier check in k-space chunks --------------------------------------
+
+
+def whole_stack_evolve_fourier(walk, state, steps):
+    """Reference: one matrix_power over the whole torus operator stack."""
+    d = walk.tiling.dimension
+    size = state.sizes[0]
+    site_axes = tuple(range(d))
+    volume = float(size**d)
+    hat = np.fft.ifftn(state.amplitudes, axes=site_axes) * volume
+    momenta = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
+    kpoints = np.stack([wrap_phase(2.0 * np.pi * m.ravel() / size) for m in momenta], axis=1)
+    powered = np.linalg.matrix_power(kspace_operators(walk, kpoints), steps)
+    evolved = np.einsum("kij,kj->ki", powered, hat.reshape(-1, walk.block_dim))
+    hat_out = evolved.reshape(state.amplitudes.shape)
+    return np.fft.fftn(hat_out, axes=site_axes) / volume
+
+
+# 45^2 = 2025 momenta fit one chunk, 46^2 = 2116 need two, 128^2 = 16384 eight
+@pytest.mark.parametrize("size", [45, 46, 128])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("walk", [ALL_WALKS[2], ALL_WALKS[4]], ids=["g1", "g2"])
+def test_chunked_fourier_is_bitwise_the_whole_stack(walk, workers, size, cores, pools, rng):
+    cores(workers)
+    state = random_state(rng, walk, (size, size))
+    for steps in (0, 1, 100):
+        out = evolve_fourier(walk, state, steps).amplitudes
+        assert np.array_equal(out, whole_stack_evolve_fourier(walk, state, steps))
+    assert pools == ([] if workers == 1 or size == 45 else [2] * 3)
+
+
+# --- canonical plane waves ----------------------------------------------------
+
+PLANE_WAVE_CASES = [(16, (1, 2)), (16, (0, 0)), (12, (-5, 3)), (9, (4, -8))]
+
+
+def _perturbed_operators(rng, eps=1e-16):
+    """kspace_operators times exp(i eps H) for a random Hermitian H."""
+
+    def perturbed(walk, kpoints):
+        ops = kspace_operators(walk, kpoints)
+        n = ops.shape[-1]
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        values, vectors = np.linalg.eigh(h + h.conj().T)
+        return (vectors * np.exp(1j * eps * values)) @ vectors.conj().T @ ops
+
+    return perturbed
+
+
+@pytest.mark.parametrize("walk", ALL_WALKS, ids=WALK_IDS)
+def test_plane_wave_ignores_a_tiny_unitary_perturbation(walk, rng, monkeypatch):
+    # every g1 band is doubly degenerate: inside that eigenspace, the vector
+    # eig returns moves by O(1) under such a perturbation
+    cases = [(size, m, band) for size, m in PLANE_WAVE_CASES for band in range(walk.block_dim)]
+    exact = [make_plane_wave(walk, *case) for case in cases]
+    monkeypatch.setattr(evolve_module, "kspace_operators", _perturbed_operators(rng))
+    for case, reference in zip(cases, exact):
+        moved = make_plane_wave(walk, *case)
+        assert np.abs(probability_map(moved) - probability_map(reference)).max() <= 1e-12
+        assert np.abs(moved.amplitudes - reference.amplitudes).max() <= 1e-12
+
+
+@pytest.mark.parametrize("walk", ALL_WALKS, ids=WALK_IDS)
+def test_plane_wave_step_multiplies_the_state_by_one_phase(walk):
+    for size, momentum in PLANE_WAVE_CASES:
+        k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
+        phases = eigenpairs(kspace_operators(walk, k[None, :]))[0][0]
+        for band in range(walk.block_dim):
+            state = make_plane_wave(walk, size, momentum, band)
+            assert state.norm == pytest.approx(1.0)
+            expected = np.exp(-1j * phases[band]) * state.amplitudes
+            assert np.abs(step(walk, state).amplitudes - expected).max() <= 1e-12
+
+
+def test_retiled_plane_wave_has_the_same_marginals():
+    original = ALL_WALKS[2]
+    for size, momentum in PLANE_WAVE_CASES:
+        for band in range(original.block_dim):
+            retiled = probability_map(make_plane_wave(RETILED_G1, size, momentum, band))
+            reference = probability_map(make_plane_wave(original, size, momentum, band))
+            assert np.abs(retiled - reference).max() <= 1e-12

@@ -437,11 +437,14 @@ def _scalar_g1_walk():
     ["dispersion", "{line}", "--params", "class=I", "--grid", "5"],
     ["validate", "{line}", "--example", "g2"],
     ["dispersion", "--example", "g1", "--params", "n=0.3,n=1,m=0", "--grid", "5", "--oracle"],
+    ["validate", "--example", "g1", "--tolerance", "nan"],
+    ["validate", "--example", "g1", "--tolerance", "-1"],
+    ["validate", "--example", "g1", "--tolerance", "inf"],
 ], ids=[
     "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
     "isotropy-not-ab", "suite-no-samples", "suite-negative-samples", "suite-negative-seed",
     "g1-nan-n", "g1-nan-m", "g1-unknown-param", "g2-unknown-param", "file-with-params",
-    "file-with-example", "repeated-param",
+    "file-with-example", "repeated-param", "tolerance-nan", "tolerance-negative", "tolerance-inf",
 ])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cosetwalk import coarse
 from cosetwalk import examples as ex
-from cosetwalk import spectral
 from cosetwalk.coarse import kspace_operators
 from cosetwalk.linalg import (
     NonUnitaryError,
@@ -274,36 +274,12 @@ def test_stencils_bitwise_equal_per_point_loop(maker, rng):
 # --- chunked grid solve -------------------------------------------------------
 
 
-@pytest.fixture()
-def cores(monkeypatch):
-    """Set the cores ``spectral`` sees as available to this process."""
-
-    def set_cores(count):
-        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    return set_cores
-
-
-@pytest.fixture()
-def pools(monkeypatch):
-    """Worker counts of the thread pools ``spectral`` starts."""
-    started = []
-    executor = concurrent.futures.ThreadPoolExecutor
-
-    def recording(workers):
-        started.append(workers)
-        return executor(workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
-    return started
-
-
 # 45^2 = 2025 points fit one chunk, 46^2 = 2116 need two, 91^2 = 8281 five
 @pytest.mark.parametrize("resolution", [45, 46, 91])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("maker", [lambda: ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), lambda: ex.g2_walk("I")], ids=["g1", "g2"])
 def test_chunked_grid_is_bitwise_one_call(maker, workers, resolution, cores, pools):
-    assert spectral.GRID_CHUNK == 2048
+    assert coarse.KSPACE_CHUNK == 2048
     walk = maker()
     cores(workers)
     grid = dispersion_grid(walk, resolution)
@@ -316,14 +292,14 @@ def _corrupt_grid_points(monkeypatch, resolution, indices):
     axis = grid_axis(resolution)
     kpoints = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     targets = kpoints[list(indices)]
-    build = spectral.kspace_operators
+    build = coarse.kspace_operators
 
     def corrupted(walk, chunk):
         ops = build(walk, chunk)
         ops[(chunk[:, None, :] == targets).all(axis=-1).any(axis=1)] *= 1.1
         return ops
 
-    monkeypatch.setattr(spectral, "kspace_operators", corrupted)
+    monkeypatch.setattr(coarse, "kspace_operators", corrupted)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -347,6 +323,6 @@ def test_one_chunk_or_one_core_starts_no_pool(g1_massive, monkeypatch, cores):
     cores(1)
     assert dispersion_grid(g1_massive, 91).phases.shape == (8281, 8)
     # without an affinity call the core count comes from os.cpu_count
-    monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 1)
+    monkeypatch.delattr(coarse.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(coarse.os, "cpu_count", lambda: 1)
     assert dispersion_grid(g1_massive, 91).phases.shape == (8281, 8)
