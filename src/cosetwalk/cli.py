@@ -40,6 +40,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError, so they print one line like the rest."""
+
+    def error(self, message: str) -> None:
+        raise UsageError(message)
+
+
 def _parse_params(raw: str | None) -> dict[str, str]:
     if not raw:
         return {}
@@ -229,7 +236,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosetwalk",
         description="Quantum walks on tiled Cayley graphs: validation, "
         "dispersion sweeps, torus evolution.",
@@ -272,10 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_momentum(argv: list[str]) -> list[str]:
+    """``--momentum -3,7`` as ``--momentum=-3,7``: argparse reads a value that
+    starts with '-' as an option unless it is one negative number."""
+    glued: list[str] = []
+    for arg in argv:
+        if glued and glued[-1] == "--momentum" and arg[:1] == "-" and arg[1:2].isdigit():
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_glue_momentum(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except (UsageError, WalkFileError, OSError, TorusSizeError) as exc:
         prefix = "parse error" if isinstance(exc, WalkFileError) else "error"

@@ -2,6 +2,10 @@
 
 The walk-spec document is JSON with a fixed field order and floats printed
 with 17 significant digits, so export -> parse -> export is byte-identical.
+The CSV writers take _CSV_BLOCK_ROWS rows at a time: one "%.17g" call formats
+the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0), the
+inverse gathers them beside integer columns from per-axis string tables, and the
+block leaves in one write, so only one block's strings are alive at a time.
 """
 
 from __future__ import annotations
@@ -225,28 +229,30 @@ def load_walk(path: str | Path) -> WalkSpec:
     return loads_walk(text)
 
 
-def _write_rows(stream: IO[str], table: np.ndarray, formats: list[str]) -> None:
-    """One CSV row per table row, field i printed with ``formats[i]``.
-
-    + 0.0 turns -0.0 into 0.0, as _format_float does, so "%.17g" fields
-    match it; "%d" prints an integral float as str(int) would.  Rows are
-    formatted a block at a time so only one block of Python floats is
-    alive at once.
-    """
-    template = ",".join(formats) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        rows = (table[start:start + _CSV_BLOCK_ROWS] + 0.0).tolist()
-        stream.writelines([template % tuple(row) for row in rows])
+def _write_table(stream: IO[str], header: list[str], values: np.ndarray, shape: tuple[int, ...] = ()) -> None:
+    """Header, then one row per row of the float table ``values``, led by the
+    integer columns of the row's index in ``np.ndindex(*shape)``."""
+    stream.write(",".join(header) + "\n")
+    labels = [np.array([str(i) for i in range(n)], dtype=object) for n in shape]
+    for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+        block = values[start:start + _CSV_BLOCK_ROWS]
+        distinct, inverse = np.unique(block.ravel() + 0.0, return_inverse=True)
+        text = np.array(("%.17g\n" * distinct.size % tuple(distinct.tolist())).split("\n"), dtype=object)
+        cells = np.full((block.shape[0], len(labels) + block.shape[1], 2), ",", dtype=object)
+        cells[:, -1, 1] = "\n"
+        cells[:, len(labels):, 0] = text[inverse].reshape(block.shape)
+        coords = np.unravel_index(np.arange(start, start + block.shape[0]), shape) if labels else ()
+        for axis, (table, coord) in enumerate(zip(labels, coords)):
+            cells[:, axis, 0] = table[coord]
+        stream.write("".join(cells.ravel().tolist()))
 
 
 def write_dispersion_csv(grid: DispersionGrid, stream: IO[str]) -> None:
     """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point,
     phases ascending.  Fields are written as ``_format_float`` writes them."""
     d = grid.kpoints.shape[1]
-    bands = grid.band_count
-    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(bands)]
-    stream.write(",".join(header) + "\n")
-    _write_rows(stream, np.hstack([grid.kpoints, grid.phases]), ["%.17g"] * (d + bands))
+    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(grid.band_count)]
+    _write_table(stream, header, np.hstack([grid.kpoints, grid.phases]))
 
 
 def save_dispersion_csv(grid: DispersionGrid, path: str | Path) -> None:
@@ -257,14 +263,8 @@ def save_dispersion_csv(grid: DispersionGrid, path: str | Path) -> None:
 def write_probability_csv(state: LatticeState, stream: IO[str]) -> None:
     """Site coordinates, coset index, probability; sites in row-major order."""
     probabilities = probability_map(state)
-    d = len(state.sizes)
-    header = [f"site_{i + 1}" for i in range(d)] + ["coset", "probability"]
-    stream.write(",".join(header) + "\n")
-    flat = probabilities.ravel()
-    for start in range(0, flat.size, _CSV_BLOCK_ROWS):
-        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, flat.size))
-        block = np.column_stack(np.unravel_index(index, probabilities.shape) + (flat[index],))
-        _write_rows(stream, block, ["%d"] * (d + 1) + ["%.17g"])
+    header = [f"site_{i + 1}" for i in range(len(state.sizes))] + ["coset", "probability"]
+    _write_table(stream, header, probabilities.reshape(-1, 1), probabilities.shape)
 
 
 def save_probability_csv(state: LatticeState, path: str | Path) -> None:

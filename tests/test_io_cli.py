@@ -4,13 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
-from cosetwalk.evolve import evolve, make_delta, probability_map
+from cosetwalk.evolve import LatticeState, evolve, make_delta, make_plane_wave, probability_map
 from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
 from cosetwalk.io import (
+    _CSV_BLOCK_ROWS,
     WalkFileError,
     _format_float,
     dumps_walk,
@@ -22,6 +24,7 @@ from cosetwalk.io import (
 )
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import TransitionFamily, WalkSpec, unitarity_residual
+from test_coarse import shift_walk_1d
 
 
 @pytest.mark.parametrize("maker", [
@@ -352,6 +355,74 @@ def test_probability_csv_matches_per_row_formatting(maker, size, steps):
     assert stream.getvalue() == _per_row_probability_csv(state)
 
 
+def _probability_text(state):
+    stream = io.StringIO()
+    write_probability_csv(state, stream)
+    return stream.getvalue()
+
+
+def _assert_same_lines(text, reference):
+    # lists, not strings: pytest reports the first differing line instead of
+    # diffing megabytes of text
+    assert text.split("\n") == reference.split("\n")
+
+
+def _table_grid(table, walk):
+    """A dispersion grid whose rows are ``table``: two k columns, the rest phases."""
+    return DispersionGrid(walk, 2, np.array([0.0, np.pi]), table[:, :2], table[:, 2:])
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 16641])
+def test_block_writer_matches_per_row_on_all_distinct_tables(rows, g2_one):
+    rng = np.random.default_rng(rows)
+    grid = _table_grid(rng.standard_normal((rows, 10)), g2_one)
+    assert len(np.unique(np.hstack([grid.kpoints, grid.phases]))) == rows * 10
+    _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
+    # a one-coset line and an uneven 3-D torus with two cosets
+    amplitudes = rng.standard_normal((rows, 1, 1)) + 1j * rng.standard_normal((rows, 1, 1))
+    state = LatticeState((rows,), amplitudes)
+    _assert_same_lines(_probability_text(state), _per_row_probability_csv(state))
+    state = LatticeState((5, 3, 7), rng.standard_normal((5, 3, 7, 2, 2)).astype(complex))
+    _assert_same_lines(_probability_text(state), _per_row_probability_csv(state))
+
+
+_EDGE_VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, 1.0, -2.0, 3.0, 2.0**53, np.pi, -np.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 2 * _CSV_BLOCK_ROWS + 1),
+    columns=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=len(_EDGE_VALUES)),
+)
+def test_block_writer_matches_per_row_on_edge_values(rows, columns, seed, pool, g2_one):
+    table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, columns))
+    grid = _table_grid(table, g2_one)
+    _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
+
+
+@pytest.mark.parametrize("walk, resolution", [
+    (ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), 129),
+    (ex.g2_walk("II"), 65),
+    (shift_walk_1d(), 129),
+], ids=["g1-129", "g2-65", "line-129"])
+def test_block_writer_matches_per_row_on_dispersion_grids(walk, resolution):
+    grid = dispersion_grid(walk, resolution)
+    _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
+
+
+@pytest.mark.parametrize("walk, start, torus, steps", [
+    (ex.g1_walk(ex.G1Params("I", 0.6, 0.8, 1)), "delta", 128, 100),
+    (ex.g1_walk(ex.G1Params("I", 0.6, 0.8, 1)), (1, 2), 128, 10),
+    (shift_walk_1d(), "delta", 64, 20),
+], ids=["g1-delta", "g1-planewave", "line-delta"])
+def test_block_writer_matches_per_row_on_evolved_maps(walk, start, torus, steps):
+    state = make_delta(walk, torus) if start == "delta" else make_plane_wave(walk, torus, start)
+    final = evolve(walk, state, steps)
+    _assert_same_lines(_probability_text(final), _per_row_probability_csv(final))
+
+
 def _suite_stdout(closure, rejected, smallest):
     return (
         "PASS  g1_family_constraints: 20 members, worst unitarity 1.11e-16, "
@@ -440,11 +511,15 @@ def _scalar_g1_walk():
     ["validate", "--example", "g1", "--tolerance", "nan"],
     ["validate", "--example", "g1", "--tolerance", "-1"],
     ["validate", "--example", "g1", "--tolerance", "inf"],
+    ["evolve", "--example", "g1", "--torus", "16", "--frobnicate"],
+    ["evolve", "--example", "g1", "--torus"],
+    ["evolve", "--example", "g1", "--init", "planewave", "--momentum", "-3,99", "--torus", "16"],
 ], ids=[
     "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
     "isotropy-not-ab", "suite-no-samples", "suite-negative-samples", "suite-negative-seed",
     "g1-nan-n", "g1-nan-m", "g1-unknown-param", "g2-unknown-param", "file-with-params",
     "file-with-example", "repeated-param", "tolerance-nan", "tolerance-negative", "tolerance-inf",
+    "unknown-flag", "missing-value", "negative-momentum",
 ])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}
@@ -456,6 +531,28 @@ def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_negative_momentum_needs_no_equals_sign(tmp_path, capsys):
+    runs = []
+    for name, momentum in (("spaced", ["--momentum", "-3,7"]), ("glued", ["--momentum=-3,7"])):
+        out = tmp_path / f"{name}.csv"
+        argv = ["evolve", "--example", "g1", "--params", "n=0.6,m=0.8", "--init", "planewave",
+                "--torus", "16", *momentum, "--out", str(out)]
+        code = main(argv)
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((code, text, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_cli_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evolve", "--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cosetwalk evolve [-h]")
+    assert "--momentum MOMENTUM" in captured.out and captured.err == ""
 
 
 @pytest.mark.filterwarnings("error")
