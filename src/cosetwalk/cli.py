@@ -10,7 +10,8 @@ every bound is written ``not x <= tol``, so NaN fails it.  Array sizes the
 user picks are bounded before anything is allocated: the ``dispersion``
 operator stack (grid^d (l s)^2 entries) and the ``evolve`` state
 (torus^d l s entries) may hold at most MAX_ARRAY_ENTRIES complex entries
-(256 MiB).
+(256 MiB), and a command that eigensolves (``dispersion``, ``evolve --init
+planewave``) takes a fiber dimension l s of at most EIGENSOLVE_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from . import examples
 from .evolve import TorusSizeError, evolve, make_delta, make_plane_wave
 from .groups import TilingError, validate_tiling
 from .io import WalkFileError, load_walk, save_dispersion_csv, save_probability_csv, save_walk
-from .linalg import PAULI_X, PAULI_Z, EigensolveError, NonUnitaryError
+from .linalg import EIGENSOLVE_MAX_DIM, EigensolveError, NonUnitaryError
 from .spectral import dispersion_grid
-from .walks import IsotropySpec, WalkSpec, check_isotropy, unitarity_residual
+from .walks import WalkSpec, check_isotropy, unitarity_residual
 
 ORACLE_TOLERANCE = 1e-9
 UNITARITY_TOLERANCE = 1e-10
@@ -33,7 +34,6 @@ MAX_ARRAY_ENTRIES = 2**24
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-EXAMPLE_PARAMS = {"g1": ("n", "m", "class", "sign"), "g2": ("class",)}
 
 
 class UsageError(Exception):
@@ -47,53 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_params(raw: str | None) -> dict[str, str]:
-    if not raw:
-        return {}
-    out: dict[str, str] = {}
-    for chunk in raw.split(","):
-        if "=" not in chunk:
-            raise UsageError(f"malformed --params entry {chunk!r}; expected key=value")
-        key, value = (part.strip() for part in chunk.split("=", 1))
-        if key in out:
-            raise UsageError(f"--params gives {key!r} twice")
-        out[key] = value
-    return out
-
-
-def _g1_params(fields: dict[str, str]) -> examples.G1Params:
-    sign_text = fields.get("sign", "+")
-    if sign_text not in ("+", "-", "+1", "-1"):
-        raise UsageError(f"sign must be '+' or '-', got {sign_text!r}")
-    try:
-        return examples.G1Params(
-            walk_class=fields.get("class", "I"),
-            n=float(fields.get("n", "1")),
-            m=float(fields.get("m", "0")),
-            sign=-1 if sign_text.startswith("-") else 1,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     """Walk from --example (with --params) or from a walk-spec file, paired
     with the example's closed-form phases (None for a file)."""
-    fields = _parse_params(args.params)
     if args.example and args.path:
         raise UsageError("give a walk-spec file or --example, not both")
     if args.example:
-        allowed = EXAMPLE_PARAMS.get(args.example, tuple(fields))  # unknown names fail below
-        unknown = [key for key in fields if key not in allowed]
-        if unknown:
-            raise UsageError(f"--example {args.example} takes {', '.join(allowed)}, not {unknown[0]!r}")
-        g1_params = _g1_params(fields) if args.example == "g1" else None
         try:
-            return examples.builtin_walk(
-                args.example, g1_params=g1_params, g2_variant=fields.get("class", "I")
-            )
-        except (KeyError, ValueError) as exc:
-            raise UsageError(exc.args[0]) from exc
+            return examples.builtin_walk(args.example, args.params)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     if args.path:
         if args.params is not None:
             raise UsageError("--params applies only to --example")
@@ -101,7 +64,9 @@ def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     raise UsageError("provide a walk-spec file or --example g1|g2")
 
 
-def _bound_entries(entries: int, what: str) -> None:
+def _bound_entries(entries: int, what: str, eigensolve_dim: int = 0) -> None:
+    if eigensolve_dim > EIGENSOLVE_MAX_DIM:
+        raise UsageError(f"fiber dimension {eigensolve_dim} is over the eigensolver's cap of {EIGENSOLVE_MAX_DIM}")
     if entries > MAX_ARRAY_ENTRIES:
         raise UsageError(
             f"{what} would hold {entries} complex entries, over the cap of {MAX_ARRAY_ENTRIES}"
@@ -157,8 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         print("unitarity: ok")
     if args.isotropy:
-        coin = {"sigma_x": PAULI_X, "sigma_z": PAULI_Z}[args.isotropy]
-        deviation = check_isotropy(walk, IsotropySpec(examples.SWAP_AB, coin))
+        deviation = check_isotropy(walk, examples.swap_isotropy(args.isotropy))
         print(f"isotropy deviation ({args.isotropy}): {deviation:.3e}")
         if not deviation <= args.tolerance:
             print("isotropy: FAIL")
@@ -175,7 +139,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     if args.oracle and closed_form is None:
         raise UsageError("--oracle requires --example g1 or g2")
     _bound_entries(
-        args.grid ** walk.tiling.dimension * walk.block_dim**2, f"--grid {args.grid}"
+        args.grid ** walk.tiling.dimension * walk.block_dim**2, f"--grid {args.grid}", walk.block_dim
     )
     grid = dispersion_grid(walk, args.grid)
     if args.out:
@@ -196,7 +160,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise UsageError("--steps must be nonnegative")
     walk, _ = _checked_walk(args)
     _bound_entries(
-        args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}"
+        args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}",
+        walk.block_dim if args.init == "planewave" else 0,
     )
     if args.init == "delta":
         state = make_delta(walk, args.torus)
@@ -280,11 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_momentum(argv: list[str]) -> list[str]:
-    """``--momentum -3,7`` as ``--momentum=-3,7``: argparse reads a value that
-    starts with '-' as an option unless it is one negative number."""
+    """``--momentum -3,7`` as ``--momentum=-3,7``, also for a prefix argparse
+    accepts (``--mom -3,7``): argparse reads a value that starts with '-' as
+    an option unless it is one negative number."""
     glued: list[str] = []
     for arg in argv:
-        if glued and glued[-1] == "--momentum" and arg[:1] == "-" and arg[1:2].isdigit():
+        option = glued[-1] if glued else ""
+        if len(option) > 2 and "--momentum".startswith(option) and arg[:1] == "-" and arg[1:2].isdigit():
             glued[-1] += "=" + arg
         else:
             glued.append(arg)

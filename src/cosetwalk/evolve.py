@@ -52,8 +52,12 @@ def minimum_torus_size(walk: WalkSpec) -> int:
     return 2 * walk.tiling.max_shift + 1
 
 
-def _check_torus(walk: WalkSpec, sizes: tuple[int, ...]) -> None:
-    smallest = min(sizes)
+def _check_torus(walk: WalkSpec, shape: tuple[int, ...]) -> None:
+    """Raise unless ``shape`` is a state shape of ``walk`` whose torus one step cannot wrap."""
+    d, fiber = walk.tiling.dimension, (walk.tiling.index, walk.coin_dim)
+    if len(shape) != d + 2 or shape[d:] != fiber:
+        raise ValueError(f"state shape {shape} does not fit the walk's {d} site axes and (cosets, coin) {fiber}")
+    smallest = min(shape[:d])
     needed = minimum_torus_size(walk)
     if smallest < needed:
         raise TorusSizeError(
@@ -69,15 +73,15 @@ def make_delta(walk: WalkSpec, size: int, *, coin: int | None = None) -> Lattice
     an integer selects a single coin basis vector.
     """
     d = walk.tiling.dimension
-    sizes = (size,) * d
-    _check_torus(walk, sizes)
+    shape = (size,) * d + (walk.tiling.index, walk.coin_dim)
+    _check_torus(walk, shape)
     cell = (0,) * (d + 1)  # origin site, coset 0
-    amps = np.zeros(sizes + (walk.tiling.index, walk.coin_dim), dtype=complex)
+    amps = np.zeros(shape, dtype=complex)
     if coin is None:
         amps[cell] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))
     else:
         amps[cell + (coin,)] = 1.0
-    return LatticeState(sizes, amps)
+    return LatticeState(shape[:d], amps)
 
 
 def make_plane_wave(
@@ -86,24 +90,29 @@ def make_plane_wave(
     """Unit-norm momentum eigenstate: e^{-i k.v} times a fiber eigenvector.
 
     ``momentum`` is the integer index m of the allowed wave-vector
-    k = 2 pi m / N (componentwise).  Sorted bands whose phases agree to
-    DEFAULT_UNITARY_TOL (1e-8) span one eigenspace and name the same state:
+    k = 2 pi m / N (componentwise).  Bands are the phases sorted in (-pi, pi]
+    with those within DEFAULT_UNITARY_TOL (1e-8) of -pi counted as +pi, so
+    rounding cannot move an eigenspace at pi to band 0.  Bands whose phases
+    agree to that tolerance span one eigenspace and name the same state:
     every g1 band is doubly degenerate, and at the torus momenta for N = 3 to
     129, 512 and 1024 distinct bands are at least 2.6e-3 apart for g1 at
-    (n, m) = (0.6, 0.8) or (0.8, 0.6) and 1.9e-5 apart for g2.  The fiber vector is P e_c, with P the projector onto that
-    eigenspace and e_c the first coin basis vector of largest projection, so
-    it does not depend on the basis ``eig`` picks, and its entry P_cc > 0
-    fixes the global phase.  A step multiplies the state by a phase and
-    every probability marginal is time invariant.
+    (n, m) = (0.6, 0.8) or (0.8, 0.6) and 1.9e-5 apart for g2.  The fiber
+    vector is P e_c, with P the projector onto that eigenspace and e_c the
+    first coin basis vector of largest projection, so it does not depend on
+    the basis ``eig`` picks, and its entry P_cc > 0 fixes the global phase.
+    A step multiplies the state by a phase, and every probability marginal
+    is time invariant.
     """
     d = walk.tiling.dimension
     sizes = (size,) * d
-    _check_torus(walk, sizes)
+    shape = sizes + (walk.tiling.index, walk.coin_dim)
+    _check_torus(walk, shape)
     if len(momentum) != d:
         raise ValueError(f"momentum index needs {d} components")
     k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
     phases, vectors = eigenpairs(kspace_operators(walk, k[None, :]))
-    cluster = circular_distance(phases[0], phases[0, band]) <= DEFAULT_UNITARY_TOL
+    lifted = np.where(phases[0] <= DEFAULT_UNITARY_TOL - np.pi, phases[0] + 2.0 * np.pi, phases[0])
+    cluster = circular_distance(phases[0], np.sort(lifted)[band]) <= DEFAULT_UNITARY_TOL
     basis = np.linalg.qr(vectors[0][:, cluster])[0]
     weights = np.sum(np.abs(basis) ** 2, axis=1)  # ||P e_c||^2
     coin = int(np.flatnonzero(weights >= weights.max() - DEFAULT_UNITARY_TOL)[0])
@@ -114,7 +123,7 @@ def make_plane_wave(
     for axis in range(d):
         phase += k[axis] * grids[axis]
     wave = np.exp(-1j * phase) / np.sqrt(size**d)
-    amps = wave[..., None, None] * fiber.reshape((walk.tiling.index, walk.coin_dim))
+    amps = wave[..., None, None] * fiber.reshape(shape[d:])
     return LatticeState(sizes, amps)
 
 
@@ -149,9 +158,9 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    _check_torus(walk, state.amplitudes.shape)
     if steps == 0:
         return state
-    _check_torus(walk, state.sizes)
     l, s = walk.tiling.index, walk.coin_dim
     sites = state.amplitudes.size // walk.block_dim
     shifts, blocks = shift_blocks(walk)
@@ -203,7 +212,7 @@ def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeSt
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    _check_torus(walk, state.sizes)
+    _check_torus(walk, state.amplitudes.shape)
     d = walk.tiling.dimension
     size = state.sizes[0]
     if any(n != size for n in state.sizes):

@@ -291,9 +291,14 @@ SWAP_AB: Mapping[GeneratorLabel, GeneratorLabel] = {
 }
 
 
+def swap_isotropy(coin: str) -> IsotropySpec:
+    """The a<->b swap represented by the coin unitary "sigma_x" or "sigma_z"."""
+    return IsotropySpec(permutation=SWAP_AB, coin_unitary={"sigma_x": PAULI_X, "sigma_z": PAULI_Z}[coin])
+
+
 def g1_isotropy() -> IsotropySpec:
     """The a<->b swap represented by sigma_x (both classes, any Z branch)."""
-    return IsotropySpec(permutation=SWAP_AB, coin_unitary=PAULI_X)
+    return swap_isotropy("sigma_x")
 
 
 def g2_isotropy(variant: str = "I") -> IsotropySpec:
@@ -303,11 +308,9 @@ def g2_isotropy(variant: str = "I") -> IsotropySpec:
     Y sigma_z Y^dag = -sigma_x, so the representing unitary changes with the
     variant.
     """
-    if variant == "I":
-        return IsotropySpec(permutation=SWAP_AB, coin_unitary=PAULI_Z)
-    if variant == "II":
-        return IsotropySpec(permutation=SWAP_AB, coin_unitary=PAULI_X)
-    raise ValueError(f"variant must be 'I' or 'II', got {variant!r}")
+    if variant not in ("I", "II"):
+        raise ValueError(f"variant must be 'I' or 'II', got {variant!r}")
+    return swap_isotropy("sigma_z" if variant == "I" else "sigma_x")
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +504,38 @@ def verification_suite(
     return SuiteReport(tuple(items))
 
 
-def builtin_walk(
-    name: str, *, g1_params: G1Params | None = None, g2_variant: str = "I"
-) -> tuple[WalkSpec, Callable[[np.ndarray], np.ndarray]]:
-    """A built-in walk by CLI name ('g1' or 'g2') and its closed-form phases.
+_PARAMS = {"g1": ("n", "m", "class", "sign"), "g2": ("class",)}  # the --params fields of each walk
 
-    The closed form maps (nk, 2) wave-vectors to the (nk, n) exact phases,
-    as ``grid_oracle_deviation`` expects.
+
+def builtin_walk(
+    name: str, params: str | None = None
+) -> tuple[WalkSpec, Callable[[np.ndarray], np.ndarray]]:
+    """A built-in walk by CLI name and ``--params`` text, and its closed-form phases.
+
+    ``params`` is ``key=value,...``; an absent field takes its default.  Any
+    bad input raises ValueError: a malformed or repeated entry is found
+    first, then an unknown name, an unknown field and a bad value.  The
+    closed form maps (nk, 2) wave-vectors to the (nk, n) exact phases.
     """
-    if name == "g1":
-        params = g1_params or G1Params()
-        nu = g1_effective_weight(params)
-        return g1_walk(params), lambda k: g1_closed_form(k, nu, params.walk_class)
+    fields: dict[str, str] = {}
+    for chunk in params.split(",") if params else ():
+        key, equals, value = (part.strip() for part in chunk.partition("="))
+        if not equals:
+            raise ValueError(f"malformed --params entry {chunk!r}; expected key=value")
+        if key in fields:
+            raise ValueError(f"--params gives {key!r} twice")
+        fields[key] = value
+    if name not in _PARAMS:
+        raise ValueError(f"unknown example {name!r}; available: {', '.join(_PARAMS)}")
+    unknown = [key for key in fields if key not in _PARAMS[name]]
+    if unknown:
+        raise ValueError(f"--example {name} takes {', '.join(_PARAMS[name])}, not {unknown[0]!r}")
     if name == "g2":
-        return g2_walk(g2_variant), g2_closed_form
-    raise KeyError(f"unknown example {name!r}; available: g1, g2")
+        return g2_walk(fields.get("class", "I")), g2_closed_form
+    sign = fields.get("sign", "+")
+    if sign not in ("+", "-", "+1", "-1"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    n, m = float(fields.get("n", "1")), float(fields.get("m", "0"))
+    g1 = G1Params(fields.get("class", "I"), n, m, -1 if sign.startswith("-") else 1)
+    nu = g1_effective_weight(g1)
+    return g1_walk(g1), lambda k: g1_closed_form(k, nu, g1.walk_class)

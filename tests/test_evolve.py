@@ -148,6 +148,20 @@ def test_state_shape_validation():
         LatticeState((4, 4), np.zeros((4, 3, 2, 2)))
 
 
+@pytest.mark.parametrize("sizes, shape", [
+    ((16, 16), (16, 16, 2, 4)),  # g1 has (l, s) = (4, 2): axes swapped
+    ((16,), (16, 4, 2)),  # one site axis for a planar walk
+    ((16, 16, 16), (16, 16, 16, 4, 2)),  # three site axes
+], ids=["swapped-fiber", "rank-1", "rank-3"])
+@pytest.mark.parametrize("run", [evolve, evolve_fourier])
+def test_evolution_rejects_a_state_of_another_walk(sizes, shape, run, g1_massive):
+    state = LatticeState(sizes, np.zeros(shape, dtype=complex))
+    for steps in (0, 3):
+        with pytest.raises(ValueError) as error:
+            run(g1_massive, state, steps)
+        assert f"state shape {shape} " in str(error.value) and "(4, 2)" in str(error.value)
+
+
 # --- the per-shift step against the per-rule step ---------------------------
 
 
@@ -411,6 +425,21 @@ def test_plane_wave_ignores_a_tiny_unitary_perturbation(walk, rng, monkeypatch):
         moved = make_plane_wave(walk, *case)
         assert np.abs(probability_map(moved) - probability_map(reference)).max() <= 1e-12
         assert np.abs(moved.amplitudes - reference.amplitudes).max() <= 1e-12
+
+
+def test_plane_wave_band_at_phase_pi_survives_rounding(rng, monkeypatch):
+    # g1 class I at (n, m) = (1, 0) has phases exactly 0 and pi (four each);
+    # rounding may put a pi phase at -pi + eps, which still counts as band 4
+    walk = ex.g1_walk(ex.G1Params("I", 1.0, 0.0, 1))
+    cases = [(16, (mx, my), band) for mx in range(-5, 6) for my in range(-5, 6) for band in (0, 4)]
+    exact = [make_plane_wave(walk, *case) for case in cases]
+    for (_, _, band), state in zip(cases, exact):
+        expected = np.exp(-1j * np.pi * band / 4) * state.amplitudes
+        assert np.abs(step(walk, state).amplitudes - expected).max() <= 1e-12
+    for _ in range(3):
+        monkeypatch.setattr(evolve_module, "kspace_operators", _perturbed_operators(rng))
+        for case, reference in zip(cases, exact):
+            assert np.abs(make_plane_wave(walk, *case).amplitudes - reference.amplitudes).max() <= 1e-12
 
 
 @pytest.mark.parametrize("walk", ALL_WALKS, ids=WALK_IDS)

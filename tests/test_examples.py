@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
 from cosetwalk.groups import generator_pair, validate_tiling
-from cosetwalk.linalg import adjoint, phase_multiset_distance, wrap_phase
+from cosetwalk.linalg import PAULI_X, PAULI_Z, adjoint, phase_multiset_distance, wrap_phase
 from cosetwalk.spectral import band_phases, dispersion_grid, grid_axis
 from cosetwalk.walks import TransitionFamily, WalkSpec
 
@@ -306,12 +306,38 @@ def test_scalar_rejection_is_total(g1_flat, g2_one, rng):
 
 
 def test_builtin_lookup():
-    params = ex.G1Params("I", 0.6, 0.8, -1)
-    walk, closed_form = ex.builtin_walk("g1", g1_params=params)
+    walk, closed_form = ex.builtin_walk("g1", "class=I,n=0.6,m=0.8,sign=-")
     assert walk.coin_dim == 2
     k = np.array([[0.3, -1.1]])
     assert_allclose(closed_form(k), ex.g1_closed_form(k, 0.8, "I"))
-    walk, closed_form = ex.builtin_walk("g2", g2_variant="II")
+    walk, closed_form = ex.builtin_walk("g2", "class=II")
     assert walk.coin_dim == 2 and closed_form is ex.g2_closed_form
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         ex.builtin_walk("g3")
+
+
+@pytest.mark.parametrize("name, params, walk", [
+    ("g1", None, ex.g1_walk()),
+    ("g1", "", ex.g1_walk()),
+    ("g1", "n=0.6,m=0.8", ex.g1_walk(ex.G1Params("I", 0.6, 0.8, 1))),
+    ("g1", " m = 0.8 , n=0.6 ,sign=-1", ex.g1_walk(ex.G1Params("I", 0.6, 0.8, -1))),
+    ("g1", "class=II,sign=+1,n=0.8,m=0.6", ex.g1_walk(ex.G1Params("II", 0.8, 0.6, 1))),
+    ("g1", "sign=-", ex.g1_walk(ex.G1Params("I", 1.0, 0.0, -1))),
+    ("g2", None, ex.g2_walk("I")),
+    ("g2", "class=II", ex.g2_walk("II")),
+])
+def test_builtin_walk_reads_params_with_defaults(name, params, walk):
+    built, _ = ex.builtin_walk(name, params)
+    assert np.array_equal(built.matrix_stack(), walk.matrix_stack())
+    assert built.tiling == walk.tiling and built.presentation == walk.presentation
+
+
+def test_swap_isotropy_names_the_coin():
+    for coin, unitary in (("sigma_x", PAULI_X), ("sigma_z", PAULI_Z)):
+        iso = ex.swap_isotropy(coin)
+        assert iso.permutation == ex.SWAP_AB and np.array_equal(iso.coin_unitary, unitary)
+    assert np.array_equal(ex.g1_isotropy().coin_unitary, PAULI_X)
+    assert np.array_equal(ex.g2_isotropy("I").coin_unitary, PAULI_Z)
+    assert np.array_equal(ex.g2_isotropy("II").coin_unitary, PAULI_X)
+    with pytest.raises(ValueError):
+        ex.g2_isotropy("III")

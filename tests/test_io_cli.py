@@ -22,6 +22,7 @@ from cosetwalk.io import (
     write_dispersion_csv,
     write_probability_csv,
 )
+from cosetwalk.linalg import EIGENSOLVE_MAX_DIM
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import TransitionFamily, WalkSpec, unitarity_residual
 from test_coarse import shift_walk_1d
@@ -533,17 +534,90 @@ def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+_G1_PARAMS = ["dispersion", "--example", "g1", "--grid", "5", "--params"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (_G1_PARAMS + ["n=0.6,m"], "malformed --params entry 'm'; expected key=value"),
+    (_G1_PARAMS + ["n=0.6,,m=0.8"], "malformed --params entry ''; expected key=value"),
+    (_G1_PARAMS + ["n=0.3,n=1,m=0"], "--params gives 'n' twice"),
+    (_G1_PARAMS + ["nu=1,nu=2"], "--params gives 'nu' twice"),
+    (_G1_PARAMS + ["class=II,nu=0.6"], "--example g1 takes n, m, class, sign, not 'nu'"),
+    (_G1_PARAMS + ["nu=1,sign=x"], "--example g1 takes n, m, class, sign, not 'nu'"),
+    (_G1_PARAMS + ["sign=x"], "sign must be '+' or '-', got 'x'"),
+    (_G1_PARAMS + ["sign=x,n=abc"], "sign must be '+' or '-', got 'x'"),
+    (_G1_PARAMS + ["n=abc"], "could not convert string to float: 'abc'"),
+    (_G1_PARAMS + ["class=III,n=abc"], "could not convert string to float: 'abc'"),
+    (_G1_PARAMS + ["n=nan"], "n and m must be nonnegative"),
+    (_G1_PARAMS + ["class=III"], "walk_class must be 'I' or 'II', got 'III'"),
+    (_G1_PARAMS + ["n=0.6,m=0.7"], "n^2 + m^2 = 0.8499999999999999 is not 1"),
+    (["dispersion", "--example", "g2", "--params", "n=0.6"], "--example g2 takes class, not 'n'"),
+    (["dispersion", "--example", "g2", "--params", "class=III"],
+     "variant must be 'I' or 'II', got 'III'"),
+    (["dispersion", "--example", "g9"], "unknown example 'g9'; available: g1, g2"),
+    (["dispersion", "--example", "g9", "--params", "n=1"], "unknown example 'g9'; available: g1, g2"),
+    (["dispersion", "--example", "g9", "--params", "n=1,n=2"], "--params gives 'n' twice"),
+    (["show-example", "g3", "--out", "{out}"], "unknown example 'g3'; available: g1, g2"),
+    (["dispersion", "{line}", "--params", "class=I"], "--params applies only to --example"),
+    (["validate", "{line}", "--example", "g2"], "give a walk-spec file or --example, not both"),
+    (["validate"], "provide a walk-spec file or --example g1|g2"),
+], ids=[
+    "malformed", "empty-entry", "repeated", "repeated-unknown", "g1-unknown", "unknown-before-sign",
+    "sign", "sign-before-float", "not-a-float", "float-before-class", "nan", "g1-class",
+    "not-normalized", "g2-unknown", "g2-class", "unknown-example", "unknown-example-params",
+    "repeated-before-example", "show-unknown-example", "file-with-params", "file-with-example",
+    "no-source",
+])
+def test_cli_example_errors_are_pinned(argv, line, tmp_path, capsys):
+    save_walk(_line_walk(), tmp_path / "line.json")
+    out = tmp_path / "out.json"
+    argv = [arg.format(line=tmp_path / "line.json", out=out) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+    assert not out.exists()
+
+
 def test_cli_negative_momentum_needs_no_equals_sign(tmp_path, capsys):
     runs = []
-    for name, momentum in (("spaced", ["--momentum", "-3,7"]), ("glued", ["--momentum=-3,7"])):
+    spellings = (("spaced", ["--momentum", "-3,7"]), ("glued", ["--momentum=-3,7"]),
+                 ("prefix", ["--mom", "-3,7"]), ("prefix-glued", ["--mom=-3,7"]))
+    for name, momentum in spellings:
         out = tmp_path / f"{name}.csv"
         argv = ["evolve", "--example", "g1", "--params", "n=0.6,m=0.8", "--init", "planewave",
                 "--torus", "16", *momentum, "--out", str(out)]
         code = main(argv)
         text = capsys.readouterr().out.replace(str(out), "OUT")
         runs.append((code, text, out.read_bytes()))
-    assert runs[0] == runs[1]
+    assert runs[1:] == runs[:1] * 3
     assert runs[0][0] == 0
+
+
+def _wide_line_walk(coin_dim=65, forward=30):
+    """The shift on Z with coin dimension 65: A_t = diag(1 x 30, 0 x 35),
+    A_{t^-1} = I - A_t; unitary, but too wide for the eigensolver."""
+    t, t_inv = generator_pair("t")
+    tiling = TilingData(1, 1, ((),), (TilingRule(t, 0, 0, (1,)), TilingRule(t_inv, 0, 0, (-1,))))
+    step = np.diag([1.0] * forward + [0.0] * (coin_dim - forward))
+    matrices = {t: step, t_inv: np.eye(coin_dim) - step}
+    return WalkSpec(GroupPresentation((t,), ()), tiling, TransitionFamily(coin_dim, matrices))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{path}"], 0),
+    (["dispersion", "{path}", "--grid", "4"], 2),
+    (["evolve", "{path}", "--torus", "8", "--init", "planewave", "--momentum", "1"], 2),
+    (["evolve", "{path}", "--torus", "8", "--init", "delta"], 0),
+], ids=["validate", "dispersion", "evolve-planewave", "evolve-delta"])
+def test_cli_bounds_the_fiber_dimension_of_an_eigensolve(argv, code, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    save_walk(_wide_line_walk(), path)
+    assert main([arg.format(path=path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err == f"error: fiber dimension 65 is over the eigensolver's cap of {EIGENSOLVE_MAX_DIM}\n"
 
 
 def test_cli_help_prints_usage_and_exits_zero(capsys):
