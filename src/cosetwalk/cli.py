@@ -184,7 +184,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_show_example(args: argparse.Namespace) -> int:
-    walk, _ = _resolve_walk(args)
+    try:
+        walk, _ = examples.builtin_walk(args.example, args.params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     save_walk(walk, args.out)
     print(f"wrote {args.example} to {args.out}")
     return EXIT_OK
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example", help="g1 or g2")
     p.add_argument("--params", help="same syntax as the dispersion command")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_show_example, path=None)
+    p.set_defaults(handler=cmd_show_example)
 
     p = sub.add_parser("suite", help="run the solution-family verification suite")
     p.add_argument("--seed", type=int, default=0)

@@ -90,16 +90,17 @@ def make_plane_wave(
     """Unit-norm momentum eigenstate: e^{-i k.v} times a fiber eigenvector.
 
     ``momentum`` is the integer index m of the allowed wave-vector
-    k = 2 pi m / N (componentwise).  Bands are the phases sorted in (-pi, pi]
-    with those within DEFAULT_UNITARY_TOL (1e-8) of -pi counted as +pi, so
-    rounding cannot move an eigenspace at pi to band 0.  Bands whose phases
+    k = 2 pi m / N (componentwise).  Bands are the phases in the order
+    ``eigenpairs`` sorts them, which counts a phase within DEFAULT_UNITARY_TOL
+    (1e-8) of -pi as +pi, so rounding cannot move an eigenspace at pi to
+    band 0.  Bands whose phases
     agree to that tolerance span one eigenspace and name the same state:
     every g1 band is doubly degenerate, and at the torus momenta for N = 3 to
     129, 512 and 1024 distinct bands are at least 2.6e-3 apart for g1 at
     (n, m) = (0.6, 0.8) or (0.8, 0.6) and 1.9e-5 apart for g2.  The fiber
     vector is P e_c, with P the projector onto that eigenspace and e_c the
     first coin basis vector of largest projection, so it does not depend on
-    the basis ``eig`` picks, and its entry P_cc > 0 fixes the global phase.
+    the basis the solver picks, and its entry P_cc > 0 fixes the global phase.
     A step multiplies the state by a phase, and every probability marginal
     is time invariant.
     """
@@ -111,8 +112,7 @@ def make_plane_wave(
         raise ValueError(f"momentum index needs {d} components")
     k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
     phases, vectors = eigenpairs(kspace_operators(walk, k[None, :]))
-    lifted = np.where(phases[0] <= DEFAULT_UNITARY_TOL - np.pi, phases[0] + 2.0 * np.pi, phases[0])
-    cluster = circular_distance(phases[0], np.sort(lifted)[band]) <= DEFAULT_UNITARY_TOL
+    cluster = circular_distance(phases[0], phases[0][band]) <= DEFAULT_UNITARY_TOL
     basis = np.linalg.qr(vectors[0][:, cluster])[0]
     weights = np.sum(np.abs(basis) ** 2, axis=1)  # ||P e_c||^2
     coin = int(np.flatnonzero(weights >= weights.max() - DEFAULT_UNITARY_TOL)[0])

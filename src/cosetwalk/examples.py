@@ -87,13 +87,6 @@ class G1Params:
             raise ValueError(f"n^2 + m^2 = {self.n**2 + self.m**2} is not 1")
 
 
-def g1_presentation() -> GroupPresentation:
-    return GroupPresentation(
-        generators=(A, B),
-        relators=((A,) * 4, (B,) * 4, (A, B, A, B)),
-    )
-
-
 _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     # (generator, coset, target, shift) with shift = c_target g c_coset^-1
     # in the (h_x, h_y) basis
@@ -114,15 +107,6 @@ _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     (B_INV, 2, 3, (0, 1)),
     (B_INV, 3, 0, (-1, 0)),
 )
-
-
-def g1_tiling() -> TilingData:
-    return TilingData(
-        dimension=2,
-        index=4,
-        rep_words=((), (A,), (A, A), (A, A, A)),
-        rules=tuple(TilingRule(*row) for row in _G1_TABLE),
-    )
 
 
 def g1_mixing_unitary(params: G1Params) -> np.ndarray:
@@ -146,8 +130,13 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
     z = g1_mixing_unitary(params)
     matrices = {g: z @ m for g, m in g1_base_matrices(params.walk_class, params.sign).items()}
     return WalkSpec(
-        presentation=g1_presentation(),
-        tiling=g1_tiling(),
+        presentation=GroupPresentation(generators=(A, B), relators=((A,) * 4, (B,) * 4, (A, B, A, B))),
+        tiling=TilingData(
+            dimension=2,
+            index=4,
+            rep_words=((), (A,), (A, A), (A, A, A)),
+            rules=tuple(TilingRule(*row) for row in _G1_TABLE),
+        ),
         transitions=TransitionFamily(coin_dim=2, matrices=matrices),
     )
 
@@ -201,13 +190,6 @@ def g1_closed_form(k, nu: float, walk_class: str = "II") -> np.ndarray:
 ANTIUNITARY_Y = ((IDENTITY2 + 1j * PAULI_Y) / np.sqrt(2.0)).copy()
 
 
-def g2_presentation() -> GroupPresentation:
-    return GroupPresentation(
-        generators=(A, B),
-        relators=((A, A, B_INV, B_INV),),
-    )
-
-
 _G2_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     # shift in the (h_2, h_3) basis; representatives e, a^-1
     (A, 0, 1, (0, 0)),
@@ -219,15 +201,6 @@ _G2_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     (B_INV, 0, 1, (-1, 1)),
     (B_INV, 1, 0, (0, -1)),
 )
-
-
-def g2_tiling() -> TilingData:
-    return TilingData(
-        dimension=2,
-        index=2,
-        rep_words=((), (A_INV,)),
-        rules=tuple(TilingRule(*row) for row in _G2_TABLE),
-    )
 
 
 def g2_solution_matrices(variant: str = "I") -> dict[GeneratorLabel, np.ndarray]:
@@ -249,8 +222,13 @@ def g2_solution_matrices(variant: str = "I") -> dict[GeneratorLabel, np.ndarray]
 def g2_walk(variant: str = "I") -> WalkSpec:
     """Built-in g2 walk; passes tiling validation and is unitary to 1e-12."""
     return WalkSpec(
-        presentation=g2_presentation(),
-        tiling=g2_tiling(),
+        presentation=GroupPresentation(generators=(A, B), relators=((A, A, B_INV, B_INV),)),
+        tiling=TilingData(
+            dimension=2,
+            index=2,
+            rep_words=((), (A_INV,)),
+            rules=tuple(TilingRule(*row) for row in _G2_TABLE),
+        ),
         transitions=TransitionFamily(coin_dim=2, matrices=g2_solution_matrices(variant)),
     )
 

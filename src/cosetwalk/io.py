@@ -84,8 +84,8 @@ def _word_names(w: Word) -> list[str]:
     return [g.name for g in w]
 
 
-def walk_to_document(walk: WalkSpec) -> dict:
-    """Plain-data document for a walk, in canonical field order."""
+def dumps_walk(walk: WalkSpec) -> str:
+    """Walk-spec JSON text for a walk, in canonical field order."""
     alphabet = walk.presentation.alphabet
     table_rows = []
     for g in alphabet:
@@ -98,7 +98,7 @@ def walk_to_document(walk: WalkSpec) -> dict:
         matrices[g.name] = [
             [[float(entry.real), float(entry.imag)] for entry in row] for row in m
         ]
-    return {
+    doc = {
         "dimension": walk.tiling.dimension,
         "index": walk.tiling.index,
         "coin_dim": walk.coin_dim,
@@ -108,10 +108,7 @@ def walk_to_document(walk: WalkSpec) -> dict:
         "table": table_rows,
         "transitions": matrices,
     }
-
-
-def dumps_walk(walk: WalkSpec) -> str:
-    return _emit(walk_to_document(walk), 0) + "\n"
+    return _emit(doc, 0) + "\n"
 
 
 def save_walk(walk: WalkSpec, path: str | Path) -> None:
@@ -140,8 +137,12 @@ def _finite_complex(entry: Any) -> complex:
     return value
 
 
-def document_to_walk(doc: dict) -> WalkSpec:
-    """Build a WalkSpec from a parsed document, with field-level errors."""
+def loads_walk(text: str) -> WalkSpec:
+    """Build a WalkSpec from walk-spec JSON text, with field-level errors."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WalkFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise WalkFileError(f"document root must be an object, got {type(doc).__name__}")
     dimension = _require(doc, "dimension", int)
@@ -211,14 +212,6 @@ def document_to_walk(doc: dict) -> WalkSpec:
         return WalkSpec(presentation, tiling, transitions)
     except ValueError as exc:
         raise WalkFileError(str(exc)) from exc
-
-
-def loads_walk(text: str) -> WalkSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WalkFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return document_to_walk(doc)
 
 
 def load_walk(path: str | Path) -> WalkSpec:

@@ -3,13 +3,15 @@ unitaries, norms, and circular phase-multiset comparison, batched over
 leading axes.
 
 Matrices are plain numpy arrays (complex128).  ``eigenpairs`` is the one
-eigensolver: it takes a stack (..., n, n) and solves every matrix in one
-``np.linalg.eig`` call.  Eigenvalues of a unitary U are written
-e^{-i omega} with omega in (-pi, pi]; every input must pass the unitarity
-bound ||U^dag U - I||_2 <= 1e-8 and every eigenpair returned is verified
-against the residual bound ||U v - e^{-i omega} v|| <= 1e-10 ||v||; an
-eigenvalue modulus off 1 by more than 1e-10 fails that certificate and is
-reported as a non-unitary input.
+eigensolver: it takes a stack (..., n, n), solves every matrix through one
+``np.linalg.eigh`` call on its Hermitian part zU + (zU)^dag, and re-solves
+with ``np.linalg.eig`` only the matrices that call leaves uncertified.
+Eigenvalues of a unitary U are written e^{-i omega} with omega in
+(-pi, pi + 1e-8]; every input must pass the unitarity bound
+||U^dag U - I||_2 <= 1e-8 and every eigenpair returned is verified against
+the residual bound ||U v - e^{-i omega} v|| <= 1e-10 ||v||; an eigenvalue
+modulus off 1 by more than 1e-10 fails that certificate and is reported as
+a non-unitary input.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 EIGENSOLVE_MAX_DIM = 64
 DEFAULT_UNITARY_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-10
+HERMITIAN_ROTATION = (np.sqrt(5.0) - 1.0) / 2.0  # theta of eigenpairs, the golden ratio 0.618...
 
 
 class NonUnitaryError(ValueError):
@@ -97,7 +100,7 @@ def _check_unitary(flat: np.ndarray, batch: tuple[int, ...], offset: int) -> Non
 
     ||M||_2 <= ||M||_F, so the Frobenius norm screens the stack and only the
     matrices it flags get an SVD.  Running apart from the solve frees
-    U^dag U - I before ``np.linalg.eig`` allocates its outputs.
+    U^dag U - I before the solve allocates its outputs.
     """
     n = flat.shape[-1]
     gram = adjoint(flat) @ flat
@@ -110,21 +113,39 @@ def _check_unitary(flat: np.ndarray, batch: tuple[int, ...], offset: int) -> Non
     _check_bound(defect, DEFAULT_UNITARY_TOL, batch, NonUnitaryError, "unitarity defect", offset)
 
 
+def _phases_and_worst(values: np.ndarray, vectors: np.ndarray, image: np.ndarray):
+    """Wrapped phases of ``values``, those within DEFAULT_UNITARY_TOL of -pi
+    counted as +pi, and each matrix's worst ||U v - e^{-i omega} v|| / ||v||.
+    ``image`` is U @ vectors, and is overwritten."""
+    phases = wrap_phase(-np.angle(values))
+    phases = np.where(phases <= DEFAULT_UNITARY_TOL - np.pi, phases + 2.0 * np.pi, phases)
+    image -= vectors * np.exp(-1j * phases)[:, None, :]
+    residuals = np.linalg.norm(image, axis=-2) / np.linalg.norm(vectors, axis=-2)
+    return phases, residuals.max(axis=-1, initial=0.0)
+
+
 def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Phases and eigenvectors of a unitary matrix or a stack of them.
 
     ``u`` has shape (..., n, n).  Returns phases (..., n), ascending in
-    (-pi, pi] along the last axis, and vectors (..., n, n) with
+    (-pi, pi + 1e-8] along the last axis, and vectors (..., n, n) with
     vectors[..., :, i] the eigenvector paired with phases[..., i]; the
-    eigenvalue is e^{-i phases[..., i]}.  A stack is solved in one
-    ``np.linalg.eig`` call, which gives the same bits as solving each
-    matrix alone.
+    eigenvalue is e^{-i phases[..., i]}.  A phase within DEFAULT_UNITARY_TOL
+    of -pi is counted as +pi (lifted by 2 pi, not clamped), so rounding
+    cannot split an eigenspace at pi across both ends of the sort.
+
+    A unitary U is normal, so the Hermitian zU + (zU)^dag, z = e^{i theta}
+    with theta = HERMITIAN_ROTATION, has U's eigenvectors; the eigenvalues
+    are the Rayleigh quotients v^dag U v.  Two eigenphases summing to
+    2 theta (mod 2 pi) share an eigenvalue of zU + (zU)^dag, which may mix
+    their vectors, so a matrix whose residual is above DEFAULT_RESIDUAL_TOL / 4
+    is solved again by ``np.linalg.eig``.  Each matrix is solved alone, so a
+    stack gives the same bits as solving each matrix alone.
 
     Raises NonUnitaryError when a matrix has ||U^dag U - I||_2 above
     DEFAULT_UNITARY_TOL, and EigensolveError when LAPACK does not converge
     or an eigenpair misses DEFAULT_RESIDUAL_TOL; both name the first
-    failing stack index.  This operator-norm check is tighter than the
-    entrywise L1 bound (1e-8 * n) that dispersion grids used to apply.
+    failing stack index.
 
     The residual certificate measures U v against e^{-i omega} v, which has
     modulus 1, so a matrix with an eigenvalue modulus off 1 by more than
@@ -146,18 +167,24 @@ def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarr
     batch = u.shape[:-2]
     flat = u.reshape((int(np.prod(batch)), n, n))
     _check_unitary(flat, batch, _offset)
+    hermitian = np.exp(1j * HERMITIAN_ROTATION) * flat
+    hermitian += adjoint(hermitian)
     try:
-        values, vectors = np.linalg.eig(flat)
+        vectors = np.linalg.eigh(hermitian)[1]
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigensolver did not converge: {exc}") from exc
-    phases = wrap_phase(-np.angle(values))
-    order = np.argsort(phases, axis=-1, kind="stable")
-    phases = np.take_along_axis(phases, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    residuals = np.linalg.norm(
-        flat @ vectors - vectors * np.exp(-1j * phases)[:, None, :], axis=-2
-    ) / np.linalg.norm(vectors, axis=-2)
-    worst = residuals.max(axis=-1, initial=0.0)
+    del hermitian
+    image = flat @ vectors
+    values = np.einsum("kij,kij->kj", vectors.conj(), image)
+    phases, worst = _phases_and_worst(values, vectors, image)
+    del image
+    redo = np.flatnonzero(~(worst <= DEFAULT_RESIDUAL_TOL / 4))
+    if redo.size:
+        try:
+            values[redo], vectors[redo] = np.linalg.eig(flat[redo])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveError(f"eigensolver did not converge: {exc}") from exc
+        phases[redo], worst[redo] = _phases_and_worst(values[redo], vectors[redo], flat[redo] @ vectors[redo])
     if not (worst <= DEFAULT_RESIDUAL_TOL).all():
         # the certificate rebuilds each eigenvalue on the unit circle, so an
         # eigenvalue off it by more than the bound is the input's fault
@@ -169,6 +196,9 @@ def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarr
         _check_bound(
             worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual", _offset
         )
+    order = np.argsort(phases, axis=-1, kind="stable")
+    phases = np.take_along_axis(phases, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     return phases.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
 
 

@@ -40,7 +40,8 @@ class DispersionGrid:
     """Sorted eigenphases on an N^d lattice over (-pi, pi]^d.
 
     ``kpoints`` has shape (N^d, d) in row-major axis order and ``phases``
-    shape (N^d, s*l) with each row ascending.
+    shape (N^d, s*l) with each row ascending in (-pi, pi + 1e-8], a phase
+    within 1e-8 of -pi counted as +pi (``eigenpairs``).
     """
 
     walk: WalkSpec

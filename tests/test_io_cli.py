@@ -150,6 +150,13 @@ def test_cli_show_example_rejects_bad_params_without_writing(params, tmp_path, c
     assert not out.exists()
 
 
+def test_cli_show_example_names_an_empty_example(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["show-example", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown example ''; available: g1, g2\n"
+    assert not out.exists()
+
+
 def test_cli_validate_rejects_corrupted_table(tmp_path, capsys):
     out = tmp_path / "g2.json"
     assert main(["show-example", "g2", "--out", str(out)]) == 0

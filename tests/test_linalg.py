@@ -5,7 +5,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cosetwalk.linalg import (
+    DEFAULT_RESIDUAL_TOL,
     EigensolveError,
+    HERMITIAN_ROTATION,
     IDENTITY2,
     NonUnitaryError,
     PAULI_X,
@@ -182,15 +184,74 @@ def test_eigenvalue_off_the_circle_blames_the_input(rng):
 
 
 def test_residual_miss_on_the_circle_stays_a_solver_error(rng, monkeypatch):
-    solve = np.linalg.eig
+    # both solvers mix the first two vectors by a 1e-6 rotation, so the
+    # Hermitian solve and the eig fallback both miss the bound while every
+    # eigenvalue (and Rayleigh quotient) stays on the circle to 1e-12
+    turn = np.eye(3)
+    turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
 
-    def sloppy(a):
-        values, vectors = solve(a)
-        return values, vectors + 1e-6
+    def sloppy(solve):
+        def turned(a):
+            values, vectors = solve(a)
+            return values, vectors @ turn
 
-    monkeypatch.setattr(np.linalg, "eig", sloppy)
+        return turned
+
+    for name in ("eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, sloppy(getattr(np.linalg, name)))
     with pytest.raises(EigensolveError, match=r"eigenpair residual .* at stack index \(1,\)"):
         eigenpairs(np.stack([np.eye(3), _random_unitary(rng, 3)]))
+
+
+def _unitary_with_phases(rng, phases):
+    """Q diag(e^{-i phases}) Q^dag for a Haar-random Q."""
+    q = _random_unitary(rng, len(phases))
+    return (q * np.exp(-1j * np.asarray(phases))) @ adjoint(q)
+
+
+def _assert_certified(u, phases, vectors):
+    residual = np.linalg.norm(u @ vectors - vectors * np.exp(-1j * phases)[..., None, :], axis=-2)
+    assert residual.max() <= DEFAULT_RESIDUAL_TOL
+
+
+def test_phase_at_minus_pi_is_counted_as_plus_pi(rng):
+    u = _unitary_with_phases(rng, [-np.pi + 1e-12, 0.3, -1.0, 2.0])
+    phases, vectors = eigenpairs(np.stack([u, np.eye(4)]))
+    assert phases[0, -1] == pytest.approx(np.pi, abs=1e-10)
+    assert_allclose(phases[0, :3], [-1.0, 0.3, 2.0], atol=1e-12)
+    _assert_certified(u, phases[0], vectors[0])
+
+
+def test_accidental_degeneracy_takes_the_eig_fallback(rng, monkeypatch):
+    # phases theta -+ 0.5 sum to 2 theta, so zU + (zU)^dag has a double
+    # eigenvalue 2 cos 0.5 whose eigenspace mixes the two eigenvectors
+    u = _unitary_with_phases(rng, [HERMITIAN_ROTATION - 0.5, HERMITIAN_ROTATION + 0.5, -2.0])
+    stack = np.stack([_random_unitary(rng, 3), u])
+    solved = []
+    solve = np.linalg.eig
+
+    def recording(a):
+        solved.append(len(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    phases, vectors = eigenpairs(stack)
+    assert solved == [1]
+    _assert_certified(stack, phases, vectors)
+    assert_allclose(phases[1], [-2.0, HERMITIAN_ROTATION - 0.5, HERMITIAN_ROTATION + 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_haar_random_stacks_are_certified_and_agree_with_eig(rng, n):
+    gauss = rng.normal(size=(2048, n, n)) + 1j * rng.normal(size=(2048, n, n))
+    q, r = np.linalg.qr(gauss)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    stack = q * (diagonal / np.abs(diagonal))[:, None, :]
+    phases, vectors = eigenpairs(stack)
+    _assert_certified(stack, phases, vectors)
+    reference = wrap_phase(-np.angle(np.linalg.eigvals(stack)))
+    assert phase_multiset_distance(phases, reference).max() <= 1e-12
+
 
 # --- phase wrapping and multiset comparison --------------------------------
 

@@ -68,6 +68,14 @@ def test_g1_every_phase_has_multiplicity_two(g1_massive, rng):
         assert np.all(circular_distance(phases[0::2], phases[1::2]) < 1e-10)
 
 
+def test_flat_g1_grid_labels_every_pi_phase_last(g1_flat):
+    # phases are exactly 0 and pi (four each); a pi rounded to -pi + eps
+    # must still sort last, or every band index of its row shifts by one
+    phases = dispersion_grid(g1_flat, 129).phases
+    assert phases.min() > -np.pi + 1e-8
+    assert np.abs(phases[:, 4:] - np.pi).max() <= 1e-12
+
+
 def test_g2_degenerate_band_touching(g2_one):
     # k2 = pi, k3 = 0 puts both band pairs at +-pi/2
     phases = band_phases(g2_one, (np.pi, 0.0))
