@@ -50,9 +50,9 @@ class _Parser(argparse.ArgumentParser):
 def _resolve_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     """Walk from --example (with --params) or from a walk-spec file, paired
     with the example's closed-form phases (None for a file)."""
-    if args.example and args.path:
+    if args.example is not None and args.path:
         raise UsageError("give a walk-spec file or --example, not both")
-    if args.example:
+    if args.example is not None:
         try:
             return examples.builtin_walk(args.example, args.params)
         except ValueError as exc:
@@ -184,10 +184,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_show_example(args: argparse.Namespace) -> int:
-    try:
-        walk, _ = examples.builtin_walk(args.example, args.params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    walk, _ = _resolve_walk(args)
     save_walk(walk, args.out)
     print(f"wrote {args.example} to {args.out}")
     return EXIT_OK
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example", help="g1 or g2")
     p.add_argument("--params", help="same syntax as the dispersion command")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_show_example)
+    p.set_defaults(handler=cmd_show_example, path=None)
 
     p = sub.add_parser("suite", help="run the solution-family verification suite")
     p.add_argument("--seed", type=int, default=0)

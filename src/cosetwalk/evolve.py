@@ -31,16 +31,17 @@ class TorusSizeError(ValueError):
 class LatticeState:
     """Amplitudes on a periodic lattice, shaped sizes + (cosets, coin)."""
 
-    sizes: tuple[int, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape[: len(self.sizes)] != self.sizes or amps.ndim != len(self.sizes) + 2:
-            raise ValueError(
-                f"amplitude array shape {amps.shape} does not match sizes {self.sizes}"
-            )
+        if amps.ndim < 3:
+            raise ValueError(f"amplitude array shape {amps.shape} needs site axes and (cosets, coin)")
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.amplitudes.shape[:-2]
 
     @property
     def norm(self) -> float:
@@ -81,7 +82,7 @@ def make_delta(walk: WalkSpec, size: int, *, coin: int | None = None) -> Lattice
         amps[cell] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))
     else:
         amps[cell + (coin,)] = 1.0
-    return LatticeState(shape[:d], amps)
+    return LatticeState(amps)
 
 
 def make_plane_wave(
@@ -124,7 +125,7 @@ def make_plane_wave(
         phase += k[axis] * grids[axis]
     wave = np.exp(-1j * phase) / np.sqrt(size**d)
     amps = wave[..., None, None] * fiber.reshape(shape[d:])
-    return LatticeState(sizes, amps)
+    return LatticeState(amps)
 
 
 def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...]):
@@ -200,7 +201,7 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
         psi, out = out, psi
     amplitudes = out.reshape(sites, l * s)  # the spare buffer takes the result back
     amplitudes[...] = psi.reshape(l * s, sites).T
-    return LatticeState(state.sizes, amplitudes.reshape(state.amplitudes.shape))
+    return LatticeState(amplitudes.reshape(state.amplitudes.shape))
 
 
 def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
@@ -230,7 +231,7 @@ def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeSt
     ))
     hat_out = evolved.reshape(state.sizes + (walk.tiling.index, walk.coin_dim))
     out = np.fft.fftn(hat_out, axes=site_axes) / volume
-    return LatticeState(state.sizes, out)
+    return LatticeState(out)
 
 
 def probability_map(state: LatticeState) -> np.ndarray:

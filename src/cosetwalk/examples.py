@@ -109,11 +109,6 @@ _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
 )
 
 
-def g1_mixing_unitary(params: G1Params) -> np.ndarray:
-    """Z = n I + i sign m sigma_x, the commutant of the a<->b swap coin."""
-    return params.n * IDENTITY2 + 1j * params.sign * params.m * PAULI_X
-
-
 def g1_base_matrices(walk_class: str, sign: int) -> dict[GeneratorLabel, np.ndarray]:
     """The normalized (Z = I) transition matrices of either class."""
     zeta = (1.0 + 1j * sign) / 2.0
@@ -127,7 +122,7 @@ def g1_base_matrices(walk_class: str, sign: int) -> dict[GeneratorLabel, np.ndar
 
 def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
     """Built-in g1 walk; passes tiling validation and is unitary to 1e-12."""
-    z = g1_mixing_unitary(params)
+    z = params.n * IDENTITY2 + 1j * params.sign * params.m * PAULI_X  # the mixing unitary Z
     matrices = {g: z @ m for g, m in g1_base_matrices(params.walk_class, params.sign).items()}
     return WalkSpec(
         presentation=GroupPresentation(generators=(A, B), relators=((A,) * 4, (B,) * 4, (A, B, A, B))),
@@ -144,11 +139,6 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
 def g1_effective_weight(params: G1Params) -> float:
     """The mixing weight that drives the g1 dispersion: m for class I, n for II."""
     return params.m if params.walk_class == "I" else params.n
-
-
-def g1_band_offset(walk_class: str) -> float:
-    """Constant phase offset of the g1 bands: pi/2 for class I, 0 for class II."""
-    return np.pi / 2.0 if walk_class == "I" else 0.0
 
 
 def _wave_vectors(k) -> np.ndarray:
@@ -177,7 +167,7 @@ def g1_closed_form(k, nu: float, walk_class: str = "II") -> np.ndarray:
     if np.any(alpha > 1.0 + 1e-12):
         raise ValueError(f"alpha = {np.max(alpha)} left the arccos domain")
     arc = np.arccos(np.clip(alpha, -1.0, 1.0))
-    offset = g1_band_offset(walk_class)
+    offset = np.pi / 2.0 if walk_class == "I" else 0.0
     branch = np.stack([arc + offset, -arc + offset], axis=-1)
     phases = np.concatenate([branch, branch - np.pi], axis=-1)
     return np.sort(wrap_phase(np.repeat(phases, 2, axis=-1)), axis=-1)
@@ -274,11 +264,6 @@ def swap_isotropy(coin: str) -> IsotropySpec:
     return IsotropySpec(permutation=SWAP_AB, coin_unitary={"sigma_x": PAULI_X, "sigma_z": PAULI_Z}[coin])
 
 
-def g1_isotropy() -> IsotropySpec:
-    """The a<->b swap represented by sigma_x (both classes, any Z branch)."""
-    return swap_isotropy("sigma_x")
-
-
 def g2_isotropy(variant: str = "I") -> IsotropySpec:
     """The a<->b swap coin: sigma_z for variant I, sigma_x for variant II.
 
@@ -368,12 +353,7 @@ def scalar_rejection_rate(
 _G1_SWEEP_WEIGHTS = (0.0, 0.3, 1.0 / np.sqrt(2.0), 0.8, 1.0)
 
 
-def verification_suite(
-    *,
-    seed: int = 0,
-    scalar_samples: int = 1000,
-    g2_variant_walks: Mapping[str, WalkSpec] | None = None,
-) -> SuiteReport:
+def verification_suite(*, seed: int = 0, scalar_samples: int = 1000) -> SuiteReport:
     """Structural checks on the built-in solution families.
 
     Items: (i) every g1 family member satisfies the unitarity constraints
@@ -384,8 +364,6 @@ def verification_suite(
     classes differ structurally in how inverse letters pair.  Each family
     group of (i)-(iii) is one (B, L, 2, 2) stack scored by one
     ``unitarity_residuals`` and one ``isotropy_deviations`` call.
-    ``g2_variant_walks`` lets a caller probe the suite with corrupted
-    inputs; the pair is scored on variant I's tiling.
     """
     rng = np.random.default_rng(seed)
     items: list[SuiteItem] = []
@@ -398,7 +376,7 @@ def verification_suite(
     ]
     tiling, alphabet = g1_members[0].tiling, g1_members[0].presentation.alphabet
     members = np.stack([walk.matrix_stack() for walk in g1_members])
-    iso = g1_isotropy()
+    iso = swap_isotropy("sigma_x")
     worst_unitarity = float(unitarity_residuals(tiling, alphabet, members)[0].max())
     worst_isotropy = float(isotropy_deviations(alphabet, members, iso).max())
     items.append(
@@ -428,11 +406,9 @@ def verification_suite(
         )
     )
 
-    if g2_variant_walks is None:
-        g2_variant_walks = {"I": g2_walk("I"), "II": g2_walk("II")}
-    walk_one = g2_variant_walks["I"]
+    walk_one = g2_walk("I")
     alphabet = walk_one.presentation.alphabet
-    pair = np.stack([g2_variant_walks[v].matrix_stack() for v in ("I", "II")])
+    pair = np.stack([walk_one.matrix_stack(), g2_walk("II").matrix_stack()])
     worst = float(np.maximum(
         unitarity_residuals(walk_one.tiling, alphabet, pair)[0],
         isotropy_deviations(alphabet, pair, (g2_isotropy("I"), g2_isotropy("II"))),

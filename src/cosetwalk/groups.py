@@ -215,10 +215,6 @@ class GroupElement:
     def identity(dimension: int) -> "GroupElement":
         return GroupElement((0,) * dimension, 0)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.coset == 0 and all(v == 0 for v in self.vector)
-
 
 def right_multiply(element: GroupElement, g: GeneratorLabel, tiling: TilingData) -> GroupElement:
     """Canonical form of element * g.
@@ -264,9 +260,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.problems
-
-    def kinds(self) -> frozenset[str]:
-        return frozenset(p.kind for p in self.problems)
 
     def summary(self) -> str:
         if self.ok:

@@ -119,7 +119,7 @@ def _require(doc: dict, key: str, kind: type) -> Any:
     if key not in doc:
         raise WalkFileError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise WalkFileError(f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -182,9 +182,9 @@ def loads_walk(text: str) -> WalkSpec:
         name, coset, target, shift = row
         if not isinstance(name, str) or name not in labels:
             raise WalkFileError(f"table[{i}] uses unknown generator {name!r}")
-        if not isinstance(coset, int) or not isinstance(target, int):
+        if type(coset) is not int or type(target) is not int:  # JSON true/false are not integers
             raise WalkFileError(f"table[{i}] coset/target must be integers")
-        if not (isinstance(shift, list) and all(isinstance(x, int) for x in shift)):
+        if not (isinstance(shift, list) and all(type(x) is int for x in shift)):
             raise WalkFileError(f"table[{i}] shift must be a list of integers")
         rules.append(TilingRule(labels[name], coset, target, tuple(shift)))
 

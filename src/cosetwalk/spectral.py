@@ -44,9 +44,6 @@ class DispersionGrid:
     within 1e-8 of -pi counted as +pi (``eigenpairs``).
     """
 
-    walk: WalkSpec
-    resolution: int
-    axis_values: np.ndarray
     kpoints: np.ndarray
     phases: np.ndarray
 
@@ -74,7 +71,7 @@ def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     kpoints = np.stack([m.ravel() for m in mesh], axis=1)
     phases = map_kchunks(walk, kpoints, lambda start, ops: eigenpairs(ops, _offset=start)[0])
-    return DispersionGrid(walk, resolution, axis, kpoints, phases)
+    return DispersionGrid(kpoints, phases)
 
 
 def _components(k, dimension: int) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_criterion_7_unitarity_isotropy_suite():
         residual, _ = unitarity_residual(walk)
         worst_unitarity = max(worst_unitarity, residual)
         assert residual < 1e-12
-        assert check_isotropy(walk, ex.g1_isotropy()) < 1e-12
+        assert check_isotropy(walk, ex.swap_isotropy("sigma_x")) < 1e-12
     for variant in ("I", "II"):
         walk = ex.g2_walk(variant)
         residual, _ = unitarity_residual(walk)

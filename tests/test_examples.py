@@ -41,10 +41,10 @@ def test_g1_class_two_crosses_inverse_assignments():
     assert_allclose(base_two[A], base_one[A])
 
 
-def test_g1_mixing_unitary_left_multiplies():
+def test_g1_walk_left_multiplies_the_mixing_unitary():
     params = ex.G1Params("I", 0.6, 0.8, -1)
     walk = ex.g1_walk(params)
-    z = ex.g1_mixing_unitary(params)
+    z = 0.6 * np.eye(2) - 0.8j * PAULI_X  # Z = n I + i sign m sigma_x
     base = ex.g1_base_matrices("I", -1)
     for g in walk.presentation.alphabet:
         assert_allclose(walk.transitions.matrix(g), z @ base[g])
@@ -243,29 +243,27 @@ def test_verification_suite_passes_on_defaults():
     }
 
 
-def test_verification_suite_detects_corrupted_solution(g2_one):
+def test_verification_suite_detects_corrupted_solution(g2_one, monkeypatch):
     mats = {g: m.copy() for g, m in g2_one.transitions.matrices.items()}
     mats[A][0, 0] += 0.05
     corrupted = WalkSpec(
         g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats)
     )
-    report = ex.verification_suite(
-        seed=3,
-        scalar_samples=20,
-        g2_variant_walks={"I": corrupted, "II": ex.g2_walk("II")},
-    )
+    g2_walk = ex.g2_walk
+    monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
+    report = ex.verification_suite(seed=3, scalar_samples=20)
     failed = {item.name for item in report.items if not item.passed}
     assert "g2_solutions" in failed
 
 
 @pytest.mark.filterwarnings("error")
-def test_verification_suite_fails_an_infinite_g2_entry_without_warning(g2_one):
+def test_verification_suite_fails_an_infinite_g2_entry_without_warning(g2_one, monkeypatch):
     mats = {g: m.copy() for g, m in g2_one.transitions.matrices.items()}
     mats[A][0, 0] = np.inf
     corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats))
-    report = ex.verification_suite(
-        seed=3, scalar_samples=20, g2_variant_walks={"I": corrupted, "II": ex.g2_walk("II")}
-    )
+    g2_walk = ex.g2_walk
+    monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
+    report = ex.verification_suite(seed=3, scalar_samples=20)
     failed = {item.name: item.detail for item in report.items if not item.passed}
     assert set(failed) == {"g2_solutions"}
     assert "worst constraint residual nan" in failed["g2_solutions"]
@@ -336,7 +334,6 @@ def test_swap_isotropy_names_the_coin():
     for coin, unitary in (("sigma_x", PAULI_X), ("sigma_z", PAULI_Z)):
         iso = ex.swap_isotropy(coin)
         assert iso.permutation == ex.SWAP_AB and np.array_equal(iso.coin_unitary, unitary)
-    assert np.array_equal(ex.g1_isotropy().coin_unitary, PAULI_X)
     assert np.array_equal(ex.g2_isotropy("I").coin_unitary, PAULI_Z)
     assert np.array_equal(ex.g2_isotropy("II").coin_unitary, PAULI_X)
     with pytest.raises(ValueError):

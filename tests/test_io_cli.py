@@ -119,10 +119,10 @@ def test_dispersion_csv_matches_per_row_formatting(g1_massive):
     assert _csv_text(grid) == _per_row_csv(grid)
 
 
-def test_dispersion_csv_prints_negative_zero_as_zero(g2_one):
+def test_dispersion_csv_prints_negative_zero_as_zero():
     kpoints = np.array([[-0.0, np.pi], [0.5, -0.0]])
     phases = np.array([[-np.pi / 2, -0.0, 0.25, np.pi], [-0.0, -0.0, 1e-300, 3.0]])
-    grid = DispersionGrid(g2_one, 2, np.array([0.5, np.pi]), kpoints, phases)
+    grid = DispersionGrid(kpoints, phases)
     text = _csv_text(grid)
     assert text == _per_row_csv(grid)
     assert text.splitlines()[1].startswith("0,3.1415926535897931,")
@@ -303,6 +303,37 @@ def test_cli_validate_incomplete_table_fails_without_traceback(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def test_cli_validate_rejects_boolean_table_cells(capsys):
+    # g2 with one row's coset written true and its shift [false, false]:
+    # equal to 1 and [0, 0] in Python, but not JSON integers
+    assert main(["validate", str(FIXTURES / "g2_boolean_cells.json")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "parse error: table[3] coset/target must be integers\n")
+
+
+@pytest.mark.parametrize("cell, value, line", [
+    (("dimension",), True, "field 'dimension' must be int, got bool"),
+    (("index",), True, "field 'index' must be int, got bool"),
+    (("coin_dim",), True, "field 'coin_dim' must be int, got bool"),
+    (("table", 0, 1), False, "table[0] coset/target must be integers"),
+    (("table", 0, 2), False, "table[0] coset/target must be integers"),
+    (("table", 0, 3), [True], "table[0] shift must be a list of integers"),
+], ids=["dimension", "index", "coin_dim", "coset", "target", "shift"])
+def test_cli_walk_file_booleans_are_not_integers(cell, value, line, tmp_path, capsys):
+    # the unit shift on Z, where each boolean equals the integer it replaces
+    doc = json.loads(dumps_walk(_line_walk()))
+    *parents, last = cell
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {line}\n")
+
+
 
 def test_cli_dispersion_rejects_an_invalid_tiling_before_solving(tmp_path, monkeypatch, capsys):
     # the tiling is checked before any operator is built, so the missing row
@@ -375,22 +406,22 @@ def _assert_same_lines(text, reference):
     assert text.split("\n") == reference.split("\n")
 
 
-def _table_grid(table, walk):
+def _table_grid(table):
     """A dispersion grid whose rows are ``table``: two k columns, the rest phases."""
-    return DispersionGrid(walk, 2, np.array([0.0, np.pi]), table[:, :2], table[:, 2:])
+    return DispersionGrid(table[:, :2], table[:, 2:])
 
 
 @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 16641])
-def test_block_writer_matches_per_row_on_all_distinct_tables(rows, g2_one):
+def test_block_writer_matches_per_row_on_all_distinct_tables(rows):
     rng = np.random.default_rng(rows)
-    grid = _table_grid(rng.standard_normal((rows, 10)), g2_one)
+    grid = _table_grid(rng.standard_normal((rows, 10)))
     assert len(np.unique(np.hstack([grid.kpoints, grid.phases]))) == rows * 10
     _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
     # a one-coset line and an uneven 3-D torus with two cosets
     amplitudes = rng.standard_normal((rows, 1, 1)) + 1j * rng.standard_normal((rows, 1, 1))
-    state = LatticeState((rows,), amplitudes)
+    state = LatticeState(amplitudes)
     _assert_same_lines(_probability_text(state), _per_row_probability_csv(state))
-    state = LatticeState((5, 3, 7), rng.standard_normal((5, 3, 7, 2, 2)).astype(complex))
+    state = LatticeState(rng.standard_normal((5, 3, 7, 2, 2)).astype(complex))
     _assert_same_lines(_probability_text(state), _per_row_probability_csv(state))
 
 
@@ -404,9 +435,9 @@ _EDGE_VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, 1.0, 
     seed=st.integers(0, 2**32 - 1),
     pool=st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=len(_EDGE_VALUES)),
 )
-def test_block_writer_matches_per_row_on_edge_values(rows, columns, seed, pool, g2_one):
+def test_block_writer_matches_per_row_on_edge_values(rows, columns, seed, pool):
     table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, columns))
-    grid = _table_grid(table, g2_one)
+    grid = _table_grid(table)
     _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
 
 
@@ -568,12 +599,18 @@ _G1_PARAMS = ["dispersion", "--example", "g1", "--grid", "5", "--params"]
     (["dispersion", "{line}", "--params", "class=I"], "--params applies only to --example"),
     (["validate", "{line}", "--example", "g2"], "give a walk-spec file or --example, not both"),
     (["validate"], "provide a walk-spec file or --example g1|g2"),
+    (["validate", "--example", ""], "unknown example ''; available: g1, g2"),
+    (["dispersion", "--example", "", "--grid", "5"], "unknown example ''; available: g1, g2"),
+    (["evolve", "--example", "", "--torus", "16"], "unknown example ''; available: g1, g2"),
+    (["dispersion", "{line}", "--example", "", "--grid", "5", "--out", "{out}"],
+     "give a walk-spec file or --example, not both"),
 ], ids=[
     "malformed", "empty-entry", "repeated", "repeated-unknown", "g1-unknown", "unknown-before-sign",
     "sign", "sign-before-float", "not-a-float", "float-before-class", "nan", "g1-class",
     "not-normalized", "g2-unknown", "g2-class", "unknown-example", "unknown-example-params",
     "repeated-before-example", "show-unknown-example", "file-with-params", "file-with-example",
-    "no-source",
+    "no-source", "validate-empty-example", "dispersion-empty-example", "evolve-empty-example",
+    "file-with-empty-example",
 ])
 def test_cli_example_errors_are_pinned(argv, line, tmp_path, capsys):
     save_walk(_line_walk(), tmp_path / "line.json")

@@ -44,8 +44,9 @@ def test_grid_shape_and_order(g2_one):
     assert np.all(np.diff(grid.phases, axis=1) >= 0)
     assert np.all(grid.phases > -np.pi) and np.all(grid.phases <= np.pi)
     # row-major order over the axes
-    assert_allclose(grid.kpoints[0], [grid.axis_values[0], grid.axis_values[0]])
-    assert_allclose(grid.kpoints[1], [grid.axis_values[0], grid.axis_values[1]])
+    axis = grid_axis(5)
+    assert_allclose(grid.kpoints[0], [axis[0], axis[0]])
+    assert_allclose(grid.kpoints[1], [axis[0], axis[1]])
 
 
 def test_grid_requires_two_points():

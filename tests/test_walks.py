@@ -89,7 +89,7 @@ def test_single_entry_perturbations_are_detected(g1_massive, g2_one):
 
 @pytest.mark.parametrize("walk", ALL_BUILTINS[:16])
 def test_g1_swap_covariance_with_sigma_x(walk):
-    assert check_isotropy(walk, ex.g1_isotropy()) < 1e-12
+    assert check_isotropy(walk, ex.swap_isotropy("sigma_x")) < 1e-12
 
 
 def test_g2_swap_covariance(g2_one, g2_two):
@@ -146,7 +146,7 @@ def test_isotropy_deviations_equal_the_per_family_loop_bitwise(seed, g1_massive)
         WalkSpec(g1_massive.presentation, g1_massive.tiling, TransitionFamily(2, dict(zip(alphabet, m))))
         for m in stack
     ]
-    isos = [ex.g1_isotropy(), ex.g2_isotropy("I"), IsotropySpec({g: g for g in alphabet}, IDENTITY2)]
+    isos = [ex.swap_isotropy("sigma_x"), ex.g2_isotropy("I"), IsotropySpec({g: g for g in alphabet}, IDENTITY2)]
     for iso in isos:
         deviations = isotropy_deviations(alphabet, stack, iso)
         assert deviations.shape == (9,)
@@ -165,11 +165,11 @@ def test_isotropy_deviations_score_a_non_finite_family_nan(g1_massive):
     good = g1_massive.matrix_stack()
     bad = good.copy()
     bad[3, 1, 0] = np.inf
-    deviations = isotropy_deviations(alphabet, np.stack([good, bad, good]), ex.g1_isotropy())
+    deviations = isotropy_deviations(alphabet, np.stack([good, bad, good]), ex.swap_isotropy("sigma_x"))
     assert np.isnan(deviations[1])
-    assert deviations[0] == deviations[2] == check_isotropy(g1_massive, ex.g1_isotropy())
+    assert deviations[0] == deviations[2] == check_isotropy(g1_massive, ex.swap_isotropy("sigma_x"))
     with pytest.raises(ValueError, match="expected"):
-        isotropy_deviations(alphabet, good, ex.g1_isotropy())
+        isotropy_deviations(alphabet, good, ex.swap_isotropy("sigma_x"))
 
 
 # --- normalization ----------------------------------------------------------
