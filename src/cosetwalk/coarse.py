@@ -12,6 +12,8 @@ vectors, and the principal domain is (-pi, pi] per component.
 KSPACE_CHUNK points, one thread per available core (numpy's linalg gufuncs
 and ``matmul`` release the GIL).  Each matrix is handled alone, so the result
 is the same bits as one call, with peak memory of one chunk per worker.
+``available_workers`` (the available cores, at most one per task) sets the
+thread count here and for the target cosets of ``evolve.evolve``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ def kspace_operators(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:
     return (phases @ blocks.reshape(len(shifts), dim * dim)).reshape(-1, dim, dim)
 
 
+def available_workers(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: one per core available, at most ``tasks``."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cores, tasks)
+
+
 def map_kchunks(walk: WalkSpec, kpoints: np.ndarray, solve: Callable) -> np.ndarray:
     """Concatenated ``solve(start, U)`` over the chunks: U holds the fiber
     operators of kpoints[start:start + KSPACE_CHUNK].  Chunks are mapped in
@@ -72,11 +80,7 @@ def map_kchunks(walk: WalkSpec, kpoints: np.ndarray, solve: Callable) -> np.ndar
     def run(start: int) -> np.ndarray:
         return solve(start, kspace_operators(walk, kpoints[start:start + KSPACE_CHUNK]))
 
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(starts))
+    workers = available_workers(len(starts))
     if workers == 1:
         return np.concatenate([run(start) for start in starts])
     # imported here: concurrent.futures costs every command 9 ms and 0.6 MB

@@ -6,19 +6,21 @@ A_g psi(v, j) accumulates at site v - h_{j,g} (mod N) in coset target(g, j).
 ``evolve`` applies the coarse-grained walk W = sum_h T_h (x) B_h of
 ``coarse.shift_blocks`` in coset-major layout (l, s, sites), with one product
 per (shift, target coset) pair that table rules connect instead of a dense
-B_h product; ``step`` is one such step.  ``evolve_fourier`` applies U(k) at
-every torus momentum.  The torus must be wide enough that no displacement
-wraps onto itself within a single step.
+B_h product, the target cosets split between one thread per available core
+with the same bits at any core count; ``step`` is one such step.
+``evolve_fourier`` applies U(k) at every torus momentum.  The torus must be
+wide enough that no displacement wraps onto itself within a single step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import kspace_operators, map_kchunks, shift_blocks
+from .coarse import available_workers, kspace_operators, map_kchunks, shift_blocks
 from .linalg import DEFAULT_UNITARY_TOL, circular_distance, eigenpairs, wrap_phase
 from .walks import WalkSpec
 
@@ -155,7 +157,9 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
     B_h for t, over the columns of their source cosets from the lowest to the
     highest, and adds the result into out[t] through wrapped slices.  One
     product per (h, t) rather than per tile keeps each entry's sum in the
-    order of a dense B_h product.
+    order of a dense B_h product.  Thread w (one per available core, at most
+    l) runs the products of the targets t = w (mod threads), the caller runs
+    w = 0, and each out[t] gets the same sums in the same order at any core count.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -169,7 +173,8 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
     sources: dict[tuple[int, int], set[int]] = {}  # (shift index, target) -> cosets
     for rule in walk.tiling.rules:
         sources.setdefault((position[rule.shift], rule.target), set()).add(rule.coset)
-    plan = []  # (row strip of B_h, span of source cosets, target, wrapped slices)
+    workers = available_workers(l)
+    plan = [[] for _ in range(workers)]  # thread t % workers: (row strip of B_h, span of sources, t, wrapped slices)
     for (i, t), cosets in sorted(sources.items()):
         lo, hi = min(cosets), max(cosets) + 1
         strip = np.ascontiguousarray(blocks[i, s * t : s * t + s, s * lo : s * hi])
@@ -177,19 +182,13 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
             ((slice(None),) + dst, (slice(None),) + src)
             for dst, src in _wrapped_pieces(state.sizes, shifts[i])
         ]
-        plan.append((strip, slice(lo, hi), t, pieces))
+        plan[t % workers].append((strip, slice(lo, hi), t, pieces))
     unwritten = [t for t in range(l) if (0, t) not in sources]
+    terms = [np.empty((s,) + state.sizes, dtype=complex) for _ in range(workers)]  # one per thread
 
-    psi = np.empty((l, s, sites), dtype=complex)
-    # an explicit copy: a reshape or transpose may be a view of the caller's state
-    psi.reshape(l * s, sites)[...] = state.amplitudes.reshape(sites, l * s).T
-    out = np.empty_like(psi)
-    term = np.empty((s, sites), dtype=complex)
-    term_sites = term.reshape((s,) + state.sizes)
-    for _ in range(steps):
-        for t in unwritten:
-            out[t] = 0.0
-        for strip, span, t, pieces in plan:
+    def advance(products: list, term_sites: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+        term = term_sites.reshape(s, sites)
+        for strip, span, t, pieces in products:
             source = psi[span].reshape(-1, sites)
             if pieces is None:
                 np.matmul(strip, source, out=out[t])
@@ -198,7 +197,22 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
             out_sites = out[t].reshape(term_sites.shape)
             for dst, src in pieces:
                 out_sites[dst] += term_sites[src]
-        psi, out = out, psi
+
+    psi = np.empty((l, s, sites), dtype=complex)
+    # an explicit copy: a reshape or transpose may be a view of the caller's state
+    psi.reshape(l * s, sites)[...] = state.amplitudes.reshape(sites, l * s).T
+    out = np.empty_like(psi)
+    if workers > 1:  # imported here, as in coarse.map_kchunks
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        for _ in range(steps):
+            for t in unwritten:  # before the products that add into them
+                out[t] = 0.0
+            futures = [pool.submit(advance, plan[w], terms[w], psi, out) for w in range(1, workers)]
+            advance(plan[0], terms[0], psi, out)
+            for future in futures:  # re-raises a worker's error
+                future.result()
+            psi, out = out, psi
     amplitudes = out.reshape(sites, l * s)  # the spare buffer takes the result back
     amplitudes[...] = psi.reshape(l * s, sites).T
     return LatticeState(amplitudes.reshape(state.amplitudes.shape))

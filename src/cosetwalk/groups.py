@@ -72,9 +72,6 @@ class GeneratorLabel:
             return GeneratorLabel(self.base, self.base, False)
         return GeneratorLabel(self.base + INVERSE_SUFFIX, self.base, True)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 def generator(base: str) -> GeneratorLabel:
     """Non-inverse label for a base generator name."""

@@ -36,7 +36,7 @@ def rng():
 
 @pytest.fixture()
 def cores(monkeypatch):
-    """Set the cores ``coarse.map_kchunks`` sees as available to this process."""
+    """Set the cores ``coarse.map_kchunks`` and ``evolve.evolve`` see as available to this process."""
 
     def set_cores(count):
         monkeypatch.setattr(coarse.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -46,7 +46,7 @@ def cores(monkeypatch):
 
 @pytest.fixture()
 def pools(monkeypatch):
-    """Worker counts of the thread pools ``coarse.map_kchunks`` starts."""
+    """Worker counts of the thread pools ``coarse.map_kchunks`` and ``evolve.evolve`` start."""
     started = []
     executor = concurrent.futures.ThreadPoolExecutor
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +366,93 @@ def test_zero_steps_return_the_input_and_small_tori_still_fail(g1_massive):
     assert evolve(g1_massive, state, 0).amplitudes.tobytes() == state.amplitudes.tobytes()
     with pytest.raises(TorusSizeError):
         step(g1_massive, LatticeState(np.zeros((2, 8, 4, 2), dtype=complex)))
+
+
+# --- target cosets stepped on one thread per core ----------------------------
+
+CORE_COUNTS = (1, 2, 3, 4, 8)
+
+
+def evolve_at_each_core_count(walk, state, cores, steps=7):
+    """``evolve`` amplitudes with 1, 2, 3, 4 and 8 cores available."""
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a shared write would show
+    try:
+        for count in CORE_COUNTS:
+            cores(count)
+            results.append(evolve(walk, state, steps).amplitudes)
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+@pytest.mark.parametrize("init", ["delta", "planewave"])
+@pytest.mark.parametrize("walk", ALL_WALKS, ids=WALK_IDS)
+def test_evolve_is_the_same_bits_at_any_core_count(walk, init, cores):
+    state = make_delta(walk, 16) if init == "delta" else make_plane_wave(walk, 16, (1, 2), band=1)
+    one, *more = evolve_at_each_core_count(walk, state, cores)
+    assert all(np.array_equal(one, amplitudes) for amplitudes in more)
+
+
+def test_one_coset_and_unwritten_coset_walks_are_the_same_bits_at_any_core_count(rng, cores):
+    line, target = shift_walk_1d(), one_target_walk(rng)
+    for walk, state in [(line, make_delta(line, 8)), (target, random_state(rng, target, (7,)))]:
+        one, *more = evolve_at_each_core_count(walk, state, cores)
+        assert all(np.array_equal(one, amplitudes) for amplitudes in more)
+
+
+def test_one_core_or_one_coset_starts_no_pool_and_more_cores_one_per_call(g1_massive, cores, pools):
+    state = make_delta(g1_massive, 16)
+    cores(1)
+    evolve(g1_massive, state, 10)
+    line = shift_walk_1d()
+    cores(4)
+    evolve(line, make_delta(line, 8), 10)
+    assert pools == []
+    cores(2)  # the caller steps one target group, a pool of one thread the other
+    evolve(g1_massive, state, 10)
+    assert pools == [1]
+    cores(8)  # four target cosets: at most four threads, the caller among them
+    evolve(g1_massive, state, 10)
+    assert pools == [1, 3]
+
+
+class _NumpyFailingOffThread:
+    """numpy, except that ``matmul`` raises in any thread but ``caller``."""
+
+    caller = None
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        if threading.get_ident() != self.caller:
+            raise RuntimeError("product failed in a step thread")
+        return np.matmul(*args, **kwargs)
+
+
+def test_an_error_in_a_step_thread_reaches_the_caller(g1_massive, cores, monkeypatch):
+    cores(2)
+    state = make_delta(g1_massive, 16)
+    failing = _NumpyFailingOffThread()
+    monkeypatch.setattr(evolve_module, "np", failing)
+    errors = []
+
+    def run():
+        failing.caller = threading.get_ident()
+        try:
+            evolve(g1_massive, state, 5)
+        except RuntimeError as error:
+            errors.append(str(error))
+
+    threads_before = threading.active_count()
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert errors == ["product failed in a step thread"]
+    assert threading.active_count() == threads_before  # the pool shut down
 
 
 # --- the Fourier check in k-space chunks --------------------------------------
