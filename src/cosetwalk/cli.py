@@ -79,9 +79,9 @@ def _checked_walk(args: argparse.Namespace) -> tuple[WalkSpec, Callable | None]:
     Raises TilingError or NonUnitaryError naming the first problem.
     """
     walk, closed_form = _resolve_walk(args)
-    report = validate_tiling(walk.tiling, walk.presentation)
-    if not report.ok:
-        raise TilingError(f"invalid tiling: {report.problems[0].message}")
+    problems = validate_tiling(walk.tiling, walk.presentation)
+    if problems:
+        raise TilingError(f"invalid tiling: {problems[0].message}")
     residual, _ = unitarity_residual(walk)
     if not residual <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(
@@ -107,13 +107,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         set(walk.presentation.alphabet) != set(examples.SWAP_AB) or walk.coin_dim != 2
     ):
         raise UsageError("--isotropy needs the generators a, b and coin dimension 2")
-    report = validate_tiling(walk.tiling, walk.presentation)
-    status = EXIT_OK
-    if report.ok:
+    problems = validate_tiling(walk.tiling, walk.presentation)
+    for problem in problems:
+        print(problem)
+    if not problems:
         print("tiling: ok")
-    else:
-        print(report.summary())
-        status = EXIT_FAILURE
+    status = EXIT_FAILURE if problems else EXIT_OK
     residual, _ = unitarity_residual(walk)
     print(f"unitarity residual: {residual:.3e}")
     if not residual <= args.tolerance:
@@ -195,9 +194,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
         raise UsageError("--samples must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    report = examples.verification_suite(seed=args.seed, scalar_samples=args.samples)
-    print(report.summary())
-    return EXIT_OK if report.all_passed else EXIT_FAILURE
+    items = examples.verification_suite(seed=args.seed, scalar_samples=args.samples)
+    for item in items:
+        print(item)
+    return EXIT_OK if all(item.passed for item in items) else EXIT_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,7 +47,9 @@ class LatticeState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes.ravel()))
+        """2-norm summed by einsum, not BLAS, so it has the same bits at any BLAS thread count."""
+        flat = self.amplitudes.ravel().view(np.float64)
+        return float(np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def minimum_torus_size(walk: WalkSpec) -> int:

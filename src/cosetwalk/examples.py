@@ -297,39 +297,25 @@ class SuiteItem:
     passed: bool
     detail: str
 
-
-@dataclass(frozen=True)
-class SuiteReport:
-    items: tuple[SuiteItem, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def summary(self) -> str:
-        lines = [
-            f"{'PASS' if item.passed else 'FAIL'}  {item.name}: {item.detail}"
-            for item in self.items
-        ]
-        return "\n".join(lines)
+    def __str__(self) -> str:
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
 _SAMPLE_BLOCK = 4096
+_SCALAR_THRESHOLD = 1e-3
+_SCALAR_MODULI = (0.1, 1.0)
 
 
 def scalar_rejection_rate(
     template: WalkSpec,
     samples: int,
     rng: np.random.Generator,
-    *,
-    threshold: float = 1e-3,
-    modulus_range: tuple[float, float] = (0.1, 1.0),
 ) -> tuple[int, float]:
     """(rejections, worst-case minimum residual) over random scalar families.
 
     Every letter gets a nonzero scalar with modulus drawn uniformly from
-    ``modulus_range`` and a uniform phase; a family is rejected when its
-    unitarity residual reaches ``threshold``.  The draws are
+    ``_SCALAR_MODULI`` and a uniform phase; a family is rejected when its
+    unitarity residual reaches ``_SCALAR_THRESHOLD``.  The draws are
     ``rng.random((samples, L, 2))`` in C order, one modulus
     lo + (hi - lo) u then one phase exp(2 pi i u) per letter per sample,
     letters in alphabet order: the stream ``rng.uniform`` calls in that
@@ -338,14 +324,14 @@ def scalar_rejection_rate(
     for any sample count.
     """
     alphabet = template.presentation.alphabet
-    lo, hi = modulus_range
+    lo, hi = _SCALAR_MODULI
     rejected = 0
     min_residual = np.inf
     for start in range(0, samples, _SAMPLE_BLOCK):
         u = rng.random((min(_SAMPLE_BLOCK, samples - start), len(alphabet), 2))
         scalars = (lo + (hi - lo) * u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
         residuals, _ = unitarity_residuals(template.tiling, alphabet, scalars[..., None, None])
-        rejected += int(np.count_nonzero(residuals >= threshold))
+        rejected += int(np.count_nonzero(residuals >= _SCALAR_THRESHOLD))
         min_residual = min(min_residual, float(residuals.min()))
     return rejected, float(min_residual)
 
@@ -353,7 +339,7 @@ def scalar_rejection_rate(
 _G1_SWEEP_WEIGHTS = (0.0, 0.3, 1.0 / np.sqrt(2.0), 0.8, 1.0)
 
 
-def verification_suite(*, seed: int = 0, scalar_samples: int = 1000) -> SuiteReport:
+def verification_suite(*, seed: int = 0, scalar_samples: int = 1000) -> tuple[SuiteItem, ...]:
     """Structural checks on the built-in solution families.
 
     Items: (i) every g1 family member satisfies the unitarity constraints
@@ -455,7 +441,7 @@ def verification_suite(*, seed: int = 0, scalar_samples: int = 1000) -> SuiteRep
         )
     )
 
-    return SuiteReport(tuple(items))
+    return tuple(items)
 
 
 _PARAMS = {"g1": ("n", "m", "class", "sign"), "g2": ("class",)}  # the --params fields of each walk

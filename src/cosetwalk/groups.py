@@ -48,34 +48,24 @@ class GeneratorLabel:
     function of the label (an involution on S).
     """
 
-    name: str
     base: str
     is_inverse: bool = False
 
     def __post_init__(self) -> None:
         if not self.base:
             raise ValueError("generator base name must be nonempty")
-        if self.is_inverse:
-            if self.name != self.base + INVERSE_SUFFIX:
-                raise ValueError(
-                    f"inverse label for {self.base!r} must be named "
-                    f"{self.base + INVERSE_SUFFIX!r}, got {self.name!r}"
-                )
-        elif self.name != self.base:
-            raise ValueError(
-                f"non-inverse label must satisfy name == base, got "
-                f"{self.name!r} != {self.base!r}"
-            )
+
+    @property
+    def name(self) -> str:
+        return self.base + INVERSE_SUFFIX if self.is_inverse else self.base
 
     def inverse(self) -> "GeneratorLabel":
-        if self.is_inverse:
-            return GeneratorLabel(self.base, self.base, False)
-        return GeneratorLabel(self.base + INVERSE_SUFFIX, self.base, True)
+        return GeneratorLabel(self.base, not self.is_inverse)
 
 
 def generator(base: str) -> GeneratorLabel:
     """Non-inverse label for a base generator name."""
-    return GeneratorLabel(base, base, False)
+    return GeneratorLabel(base, False)
 
 
 def generator_pair(base: str) -> tuple[GeneratorLabel, GeneratorLabel]:
@@ -250,32 +240,18 @@ class ValidationProblem:
         return f"[{self.kind}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[ValidationProblem, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def summary(self) -> str:
-        if self.ok:
-            return "tiling valid"
-        return "\n".join(str(p) for p in self.problems)
-
-
 def _word_str(w: Word) -> str:
     return " ".join(g.name for g in w) if w else "<empty>"
 
 
-def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> ValidationReport:
+def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> tuple[ValidationProblem, ...]:
     """Cross-check a tiling table against its presentation.
 
     Reports: missing/extra table rows, rows that are not coset permutations,
     inverse-consistency failures, representative words landing in the wrong
     coset (or colliding), and relator words that do not fix every coset
-    start (0, j), not only the identity.  An empty report means the table
-    is consistent.
+    start (0, j), not only the identity.  No problems means the table is
+    consistent.
     """
     problems: list[ValidationProblem] = []
     alphabet = presentation.alphabet
@@ -295,7 +271,7 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> Vali
             )
             complete = False
     if not complete:
-        return ValidationReport(tuple(problems))
+        return tuple(problems)
 
     for g in alphabet:
         targets = [tiling.row(g, j)[0] for j in range(tiling.index)]
@@ -376,4 +352,4 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> Vali
                     )
                 )
 
-    return ValidationReport(tuple(problems))
+    return tuple(problems)

@@ -140,7 +140,7 @@ def test_criterion_6_tiling_invariance():
     worst = 0.0
     for walk, new_reps in pairs:
         moved = retile(walk, new_reps)
-        assert validate_tiling(moved.tiling, moved.presentation).ok
+        assert not validate_tiling(moved.tiling, moved.presentation)
         for _ in range(20):
             k = rng.uniform(-np.pi, np.pi, 2)
             deviation = phase_multiset_distance(
@@ -239,6 +239,6 @@ def test_criterion_10_group_theory_exactness():
     assert evaluate_word((B, A), g2.tiling) == GroupElement((1, -1), 0)
     assert evaluate_word((A, A), g2.tiling) == GroupElement((1, 0), 0)
     assert evaluate_word((A_INV, B), g2.tiling) == GroupElement((0, 1), 0)
-    assert validate_tiling(g1.tiling, g1.presentation).ok
-    assert validate_tiling(g2.tiling, g2.presentation).ok
+    assert not validate_tiling(g1.tiling, g1.presentation)
+    assert not validate_tiling(g2.tiling, g2.presentation)
     print("PASS criterion 10: relator closure and translation identities hold exactly")

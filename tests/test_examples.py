@@ -52,7 +52,7 @@ def test_g1_walk_left_multiplies_the_mixing_unitary():
 
 def test_builtin_tilings_are_clean():
     for walk in (ex.g1_walk(), ex.g2_walk("I"), ex.g2_walk("II")):
-        assert validate_tiling(walk.tiling, walk.presentation).ok
+        assert not validate_tiling(walk.tiling, walk.presentation)
 
 
 def test_g2_variant_two_is_antiunitary_image(g2_one, g2_two):
@@ -232,9 +232,9 @@ def test_g2_variants_are_parity_time_partners(g2_one, g2_two, rng):
 
 
 def test_verification_suite_passes_on_defaults():
-    report = ex.verification_suite(seed=3, scalar_samples=120)
-    assert report.all_passed, report.summary()
-    assert {item.name for item in report.items} == {
+    items = ex.verification_suite(seed=3, scalar_samples=120)
+    assert all(item.passed for item in items), "\n".join(map(str, items))
+    assert {item.name for item in items} == {
         "g1_family_constraints",
         "g1_left_multiplication_closure",
         "g2_solutions",
@@ -251,8 +251,8 @@ def test_verification_suite_detects_corrupted_solution(g2_one, monkeypatch):
     )
     g2_walk = ex.g2_walk
     monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
-    report = ex.verification_suite(seed=3, scalar_samples=20)
-    failed = {item.name for item in report.items if not item.passed}
+    items = ex.verification_suite(seed=3, scalar_samples=20)
+    failed = {item.name for item in items if not item.passed}
     assert "g2_solutions" in failed
 
 
@@ -263,8 +263,8 @@ def test_verification_suite_fails_an_infinite_g2_entry_without_warning(g2_one, m
     corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats))
     g2_walk = ex.g2_walk
     monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
-    report = ex.verification_suite(seed=3, scalar_samples=20)
-    failed = {item.name: item.detail for item in report.items if not item.passed}
+    items = ex.verification_suite(seed=3, scalar_samples=20)
+    failed = {item.name: item.detail for item in items if not item.passed}
     assert set(failed) == {"g2_solutions"}
     assert "worst constraint residual nan" in failed["g2_solutions"]
 
@@ -290,8 +290,8 @@ def test_verification_suite_detects_a_corrupted_g1_member(corruption, broken, mo
         return WalkSpec(walk.presentation, walk.tiling, TransitionFamily(2, mats))
 
     monkeypatch.setattr(ex, "g1_walk", corrupted)
-    report = ex.verification_suite(seed=3, scalar_samples=20)
-    failed = {item.name: item.detail for item in report.items if not item.passed}
+    items = ex.verification_suite(seed=3, scalar_samples=20)
+    failed = {item.name: item.detail for item in items if not item.passed}
     assert set(failed) == {"g1_family_constraints", "g1_left_multiplication_closure"}
     assert broken in failed["g1_family_constraints"]
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +170,35 @@ def test_cli_validate_rejects_corrupted_table(tmp_path, capsys):
     assert "relator" in capsys.readouterr().out
 
 
+def test_cli_validate_prints_every_problem_in_order(tmp_path, capsys):
+    out = tmp_path / "g1.json"
+    assert main(["show-example", "g1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["table"][4] == ["a^-1", 0, 1, [0, 0]]
+    doc["table"][4][2] = 2  # a^-1 sends coset 0 to 2, not 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "[permutation] generator a^-1: coset map [2, 2, 3, 0] is not a permutation\n"
+        "[inverse-consistency] (a, j=1) -> 0, but (a^-1, j=0) -> 2\n"
+        "[inverse-consistency] (a^-1, j=0) -> 2, but (a, j=2) -> 1\n"
+        "[representative] representative 1 (a) lands in coset 2\n"
+        "[representative] representative 2 (a a) lands in coset 3\n"
+        "[representative] representative 3 (a a a) lands in coset 0\n"
+        "[representative] representatives 0 and 3 share coset 0\n"
+        "[relator] relator a a a a from coset 0 evaluates to ((0, 0), j=2)\n"
+        "[relator] relator a a a a from coset 1 evaluates to ((0, 0), j=2)\n"
+        "[relator] relator a a a a from coset 2 evaluates to ((0, 0), j=3)\n"
+        "[relator] relator a a a a from coset 3 evaluates to ((0, 0), j=0)\n"
+        "[relator] relator a b a b from coset 0 evaluates to ((0, 0), j=1)\n"
+        "[relator] relator a b a b from coset 2 evaluates to ((1, -1), j=3)\n"
+        "unitarity residual: 5.000e-01\n"
+        "unitarity: FAIL (tolerance 1.0e-10)\n",
+        "",
+    )
+
+
 def test_cli_validate_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("")
@@ -236,6 +268,23 @@ def test_cli_evolve_reports_norm_drift(tmp_path, capsys):
     drift = float(text.split("norm drift after 10 steps:")[1].split()[0])
     assert drift < 1e-12
     assert out.exists()
+
+
+def test_cli_evolve_drift_is_the_same_at_any_blas_thread_count():
+    # a threaded BLAS dot moves the last bits of a norm summed through BLAS;
+    # this run printed 5.551e-16 on one thread and 3.331e-16 on two
+    argv = [sys.executable, "-m", "cosetwalk.cli", "evolve", "--example", "g1",
+            "--params", "n=0.6,m=0.8,class=II", "--torus", "64", "--steps", "20"]
+    src = str(Path(cli.__file__).parents[1])
+    stdouts = [
+        subprocess.run(
+            argv, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert stdouts[0] == stdouts[1]
+    assert stdouts[0].startswith("norm drift after 20 steps: ")
 
 
 def test_cli_evolve_zero_steps_keeps_distribution(tmp_path):

@@ -160,10 +160,12 @@ def test_scalar_rejection_matches_the_per_sample_loop(seed):
 
 def test_scalar_rejection_blocks_keep_the_draw_order(monkeypatch):
     monkeypatch.setattr(ex, "_SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(ex, "_SCALAR_THRESHOLD", 0.35)
+    monkeypatch.setattr(ex, "_SCALAR_MODULI", (0.2, 0.7))
     template = TEMPLATES["g2"]
     rng = np.random.default_rng(5)
     ref_rng = np.random.default_rng(5)
-    result = ex.scalar_rejection_rate(template, 30, rng, threshold=0.35, modulus_range=(0.2, 0.7))
+    result = ex.scalar_rejection_rate(template, 30, rng)
     expected = reference_rejection(template, 30, ref_rng, threshold=0.35, modulus_range=(0.2, 0.7))
     assert result[0] == expected[0] and 0 < result[0] < 30
     assert bits(result[1]) == bits(expected[1])
