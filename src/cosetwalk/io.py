@@ -154,11 +154,11 @@ def loads_walk(text: str) -> WalkSpec:
     for entry in _require(doc, "generators", list):
         if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) and x for x in entry)):
             raise WalkFileError(f"generators entries must be [name, inverse-name], got {entry!r}")
-        base_name, inverse_name = entry
-        g, ginv = generator_pair(base_name)
+        g, ginv = generator_pair(entry[0])
+        if entry[1] != ginv.name or g.name in labels or ginv.name in labels:
+            raise WalkFileError(f"generators entry {entry!r} must be [{g.name!r}, {ginv.name!r}] and bind no name twice")
         generators.append(g)
-        labels[base_name] = g
-        labels[inverse_name] = ginv
+        labels.update({g.name: g, ginv.name: ginv})
 
     def parse_word(names: Any, context: str) -> Word:
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):

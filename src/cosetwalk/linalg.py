@@ -210,13 +210,26 @@ def phase_multiset_distance(a, b):
     Each multiset is sorted on the circle; the optimal min-max matching of
     two equal-size circular multisets is order preserving, so it suffices to
     scan the n cyclic offsets.  An offset whose mismatch is NaN never wins.
+    Offset s > 0 is scored only on rows where its mismatch at a_0, a lower
+    bound, is not >= the best so far; elsewhere fmin would keep the best.
     """
     a = np.sort(np.atleast_1d(wrap_phase(a)), axis=-1)
     b = np.sort(np.atleast_1d(wrap_phase(b)), axis=-1)
     if a.shape != b.shape:
         raise ValueError(f"multiset shapes differ: {a.shape} vs {b.shape}")
-    n = a.shape[-1]
-    best = np.full(a.shape[:-1], 0.0 if n == 0 else np.inf)
-    for shift in range(n):
-        best = np.fmin(best, circular_distance(a, np.roll(b, shift, axis=-1)).max(axis=-1))
+    best = np.full(a.shape[:-1], np.inf)
+    np.fmin(best, _principal_distance(a, b).max(axis=-1, initial=0.0), out=best)
+    bounds = _principal_distance(a[..., :1], b)
+    for shift in range(1, a.shape[-1]):
+        rows = ~(bounds[..., -shift] >= best)
+        best[rows] = np.fmin(best[rows], _principal_distance(a[rows], np.roll(b[rows], shift, axis=-1)).max(axis=-1))
     return float(best) if best.ndim == 0 else best
+
+
+def _principal_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``circular_distance`` bit for bit on a, b in (-pi, pi]: there a - b + pi
+    is in (-pi, 3 pi], where mod 2 pi is itself, one exact subtraction or one add."""
+    y = a - b + np.pi
+    np.subtract(y, 2.0 * np.pi, out=y, where=y >= 2.0 * np.pi)
+    np.add(y, 2.0 * np.pi, out=y, where=y < 0.0)
+    return np.abs(np.subtract(y, np.pi, out=y), out=y)

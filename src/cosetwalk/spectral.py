@@ -4,7 +4,7 @@ curvature by finite differences.
 Every k-space solve stacks the fiber operators of its wave-vectors and
 hands them to ``linalg.eigenpairs``, so grids and stencils share one
 unitarity check, eigensolve, sort and residual certificate.  A stencil
-(5-9 points) is one call; a grid keeps only the phases of each
+(5-13 points) is one call; a grid keeps only the phases of each
 ``coarse.map_kchunks`` chunk.
 
 Bands are indexed by sorted phase at each k independently; crossing points
@@ -87,38 +87,36 @@ def band_phases(walk: WalkSpec, k) -> np.ndarray:
     return eigenpairs(kspace_operators(walk, comps[None, :]))[0][0]
 
 
-def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps) -> tuple:
-    """One band's phase at k and at k +- h e_axis for each h in ``steps``.
+def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps=()) -> tuple:
+    """One band's gradient at k, and its phase at k and at k +- h e_axis for
+    each h in ``steps``, all 3 + 2 * len(steps) * d points in one kernel call.
 
-    All 1 + 2 * len(steps) * d points are solved in one kernel call.
-    Returns (center, upper, lower), with upper[i, axis] the phase at
-    k + steps[i] e_axis and lower[i, axis] the phase at k - steps[i] e_axis.
+    The gradient is the central difference at step VELOCITY_STEP; a kink of
+    the sorted band inside its stencil (a crossing) raises BandCrossingError
+    rather than giving a silent average slope.  Returns (gradient, center,
+    upper, lower), with upper[i, axis] the phase at k + steps[i] e_axis and
+    lower[i, axis] the phase at k - steps[i] e_axis.
     """
     d = comps.size
+    steps = (VELOCITY_STEP, *steps)
     shifts = [h * np.eye(d) for h in steps]
     points = np.concatenate([comps[None, :]] + [comps + s for s in shifts] + [comps - s for s in shifts])
     phases = eigenpairs(kspace_operators(walk, points))[0][:, band]
     upper, lower = phases[1:].reshape(2, len(steps), d)
-    return phases[0], upper, lower
-
-
-def group_velocity(walk: WalkSpec, k, band: int) -> np.ndarray:
-    """Central-difference gradient of the sorted band at k, step VELOCITY_STEP.
-
-    Raises BandCrossingError when the second difference betrays a kink of
-    the sorted band inside the stencil (a crossing), rather than returning a
-    silent average slope.
-    """
-    comps = _components(k, walk.tiling.dimension)
-    center, upper, lower = _stencil_phases(walk, comps, band, (VELOCITY_STEP,))
-    forward = wrap_phase(upper[0] - center)
-    backward = wrap_phase(center - lower[0])
+    forward = wrap_phase(upper[0] - phases[0])
+    backward = wrap_phase(phases[0] - lower[0])
     kinked = np.flatnonzero(np.abs(forward - backward) > 50.0 * VELOCITY_STEP * VELOCITY_STEP)
     if kinked.size:
         raise BandCrossingError(
             f"band {band} kinks within the stencil at k={comps} along axis {kinked[0]}"
         )
-    return (forward + backward) / (2.0 * VELOCITY_STEP)
+    return (forward + backward) / (2.0 * VELOCITY_STEP), phases[0], upper[1:], lower[1:]
+
+
+def group_velocity(walk: WalkSpec, k, band: int) -> np.ndarray:
+    """Central-difference gradient of the sorted band at k, step VELOCITY_STEP;
+    raises BandCrossingError at a kink of the sorted band inside the stencil."""
+    return _stencil_phases(walk, _components(k, walk.tiling.dimension), band)[0]
 
 
 def band_curvature(walk: WalkSpec, k, band: int) -> np.ndarray:
@@ -129,14 +127,13 @@ def band_curvature(walk: WalkSpec, k, band: int) -> np.ndarray:
     to GRADIENT_TOLERANCE.
     """
     comps = _components(k, walk.tiling.dimension)
-    gradient = group_velocity(walk, comps, band)
+    steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])
+    gradient, center, upper, lower = _stencil_phases(walk, comps, band, steps)
     worst = float(np.abs(gradient).max())
     if worst > GRADIENT_TOLERANCE:
         raise ExtremumError(
             f"gradient component {worst:.3e} exceeds {GRADIENT_TOLERANCE:.1e}; "
             "curvature is defined at extrema only"
         )
-    steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])
-    center, upper, lower = _stencil_phases(walk, comps, band, steps)
     coarse, fine = (wrap_phase(upper - center) + wrap_phase(lower - center)) / (steps * steps)[:, None]
     return (4.0 * fine - coarse) / 3.0

@@ -383,6 +383,30 @@ def test_cli_walk_file_booleans_are_not_integers(cell, value, line, tmp_path, ca
     assert (captured.out, captured.err) == ("", f"parse error: {line}\n")
 
 
+@pytest.mark.parametrize("renames, generators, line", [
+    # a file round trip would rename A and B to a^-1 and b^-1
+    ({"a^-1": "A", "b^-1": "B"}, [["a", "A"], ["b", "B"]],
+     "generators entry ['a', 'A'] must be ['a', 'a^-1'] and bind no name twice"),
+    # A would be bound to a^-1, then rebound to b^-1
+    ({"a^-1": "A", "b^-1": "A"}, [["a", "A"], ["b", "A"]],
+     "generators entry ['a', 'A'] must be ['a', 'a^-1'] and bind no name twice"),
+    ({}, [["a", "a^-1"], ["b", "b^-1"], ["a", "a^-1"]],
+     "generators entry ['a', 'a^-1'] must be ['a', 'a^-1'] and bind no name twice"),
+    ({}, [["a", "a^-1"], ["b", "b^-1"], ["a^-1", "a^-1^-1"]],
+     "generators entry ['a^-1', 'a^-1^-1'] must be ['a^-1', 'a^-1^-1'] and bind no name twice"),
+], ids=["renamed-inverses", "inverse-bound-twice", "entry-repeated", "base-is-a-bound-inverse"])
+def test_cli_walk_file_generator_names_are_base_and_base_inverse_once(renames, generators, line, tmp_path, capsys):
+    text = dumps_walk(ex.g1_walk())
+    for old, new in renames.items():
+        text = text.replace(f'"{old}"', f'"{new}"')
+    doc = json.loads(text)
+    doc["generators"] = generators
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: {line}\n")
+
 
 def test_cli_dispersion_rejects_an_invalid_tiling_before_solving(tmp_path, monkeypatch, capsys):
     # the tiling is checked before any operator is built, so the missing row

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from cosetwalk import examples as ex
 from cosetwalk.linalg import (
     DEFAULT_RESIDUAL_TOL,
     EigensolveError,
@@ -11,6 +12,7 @@ from cosetwalk.linalg import (
     IDENTITY2,
     NonUnitaryError,
     PAULI_X,
+    _principal_distance,
     adjoint,
     circular_distance,
     eigenpairs,
@@ -19,6 +21,7 @@ from cosetwalk.linalg import (
     unitarity_defect,
     wrap_phase,
 )
+from cosetwalk.spectral import dispersion_grid
 
 complex_matrices = arrays(
     np.complex128,
@@ -349,3 +352,93 @@ def test_multiset_distance_with_nan_is_infinite():
     assert phase_multiset_distance([np.nan, 0.0], [0.0, 0.0]) == np.inf
     batched = phase_multiset_distance([[np.nan, 0.0], [0.5, 1.0]], [[0.0, 0.0], [1.0, 0.5]])
     assert batched.tolist() == [np.inf, 0.0]
+
+
+def _offset_loop_distance(a, b):
+    """The distance before offsets were pruned: every offset on every row."""
+    a = np.sort(np.atleast_1d(wrap_phase(a)), axis=-1)
+    b = np.sort(np.atleast_1d(wrap_phase(b)), axis=-1)
+    if a.shape != b.shape:
+        raise ValueError(f"multiset shapes differ: {a.shape} vs {b.shape}")
+    n = a.shape[-1]
+    best = np.full(a.shape[:-1], 0.0 if n == 0 else np.inf)
+    for shift in range(n):
+        best = np.fmin(best, circular_distance(a, np.roll(b, shift, axis=-1)).max(axis=-1))
+    return float(best) if best.ndim == 0 else best
+
+
+# the edges of (-pi, pi] and of the masked subtract and add in the distance
+EDGE_PHASES = np.array([np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 0.0, -0.0,
+                        np.pi / 2, -np.pi / 2, 1e-300, -1e-300, 5e-324, 1.0, -1.0])
+
+
+def _assert_same_bits(a, b):
+    pruned, reference = phase_multiset_distance(a, b), _offset_loop_distance(a, b)
+    assert type(pruned) is type(reference)
+    assert np.array_equal(pruned, reference)
+    assert np.array_equal(np.signbit(pruned), np.signbit(reference))
+    return pruned
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pruned_distance_is_the_offset_loop_on_random_rows(rng, n):
+    # a quarter of the rows are a near-copy, a quarter a near-rotation, so
+    # offset 0 and the others each win somewhere; edges and ties come from a pool
+    rows = 400
+    a = np.where(rng.random((rows, n)) < 0.3, rng.choice(EDGE_PHASES, (rows, n)),
+                 rng.uniform(-4.0, 4.0, (rows, n)))
+    b = rng.uniform(-np.pi, np.pi, (rows, n))
+    b[::4] = a[::4] + rng.normal(0.0, 1e-9, a[::4].shape)
+    b[1::4] = a[1::4] + rng.uniform(-np.pi, np.pi, (len(a[1::4]), 1))
+    assert _assert_same_bits(a, b).shape == (rows,)
+
+
+def test_pruned_distance_is_the_offset_loop_on_a_batch_and_on_vectors(rng):
+    for n in (0, 1, 3, 8):
+        a, b = rng.uniform(-np.pi, np.pi, (2, 2, 3, n))
+        assert _assert_same_bits(a, b).shape == (2, 3)
+        assert isinstance(_assert_same_bits(a[0, 0], b[1, 2]), float)
+    assert _assert_same_bits(0.5, -2.0) == 2.5
+
+
+def test_pruned_distance_is_the_offset_loop_on_degenerate_and_wrapping_multisets(rng):
+    # degenerate multisets: repeated phases, pairs at +-pi, and one phase n times
+    cases = [([0.3, 0.3, -1.0, -1.0], [-1.0, 0.3, -1.0, 0.3]),
+             ([np.pi, -np.pi, np.pi, 0.0], [np.pi, np.pi, 0.0, 0.0]),
+             ([1.0] * 8, [1.0 + 1e-12] * 8), ([2.0] * 5, [-2.0] * 5),
+             ([np.pi - 1e-9, 0.1], [-np.pi + 1e-9, 0.1]),
+             ([np.nextafter(-np.pi, 0.0), 3.0, -3.0], [np.pi, -3.0, 3.0])]
+    for a, b in cases:
+        _assert_same_bits(a, b)
+        _assert_same_bits(b, a)
+    a = rng.choice(EDGE_PHASES, (500, 6))
+    b = rng.choice(EDGE_PHASES, (500, 6))
+    _assert_same_bits(a, b)
+    _assert_same_bits(a, wrap_phase(a + np.pi))
+
+
+def test_pruned_distance_never_lets_nan_win():
+    a = [[np.nan, 0.0, 1.0], [np.nan, np.nan, np.nan], [0.5, 1.0, 2.0], [1.0, 2.0, 3.0]]
+    b = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [np.nan, 1.0, 2.0], [2.0, 3.0, 1.0]]
+    assert _assert_same_bits(a, b).tolist() == [np.inf, np.inf, np.inf, 0.0]
+    assert _assert_same_bits([np.nan, np.nan], [0.0, 1.0]) == np.inf
+
+
+@pytest.mark.parametrize("name, params", [
+    ("g1", "class=I"), ("g1", "n=0.6,m=0.8,class=II"), ("g2", "class=I"), ("g2", "class=II"),
+])
+def test_pruned_distance_is_the_offset_loop_on_the_oracle_grids(name, params):
+    walk, closed_form = ex.builtin_walk(name, params)
+    grid = dispersion_grid(walk, 129)
+    exact = closed_form(grid.kpoints)
+    assert ex.grid_oracle_deviation(grid, closed_form) == _offset_loop_distance(grid.phases, exact).max()
+    _assert_same_bits(grid.phases, exact)
+
+
+def test_principal_distance_is_the_circular_distance_bit_for_bit(rng):
+    a, b = np.meshgrid(EDGE_PHASES, EDGE_PHASES)
+    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
+    a, b = wrap_phase(rng.uniform(-np.pi, np.pi, (2, 100_000)))
+    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
+    a, b = np.meshgrid(wrap_phase(np.arange(-64, 65) * (np.pi / 64)), EDGE_PHASES)
+    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
