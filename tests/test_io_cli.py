@@ -352,6 +352,19 @@ def test_cli_validate_incomplete_table_fails_without_traceback(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def test_cli_walk_without_generators_is_a_parse_error(capsys):
+    # rejected at load, before any command builds an empty matrix stack
+    path = str(FIXTURES / "no_generators.json")
+    for argv in (
+        ["validate", path],
+        ["dispersion", path, "--grid", "3"],
+        ["evolve", path, "--torus", "3", "--steps", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "parse error: a presentation needs at least one generator\n")
+
+
 def test_cli_validate_rejects_boolean_table_cells(capsys):
     # g2 with one row's coset written true and its shift [false, false]:
     # equal to 1 and [0, 0] in Python, but not JSON integers

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
 from cosetwalk.linalg import (
     DEFAULT_RESIDUAL_TOL,
+    DEFAULT_UNITARY_TOL,
     EigensolveError,
     HERMITIAN_ROTATION,
     IDENTITY2,
@@ -153,7 +156,7 @@ def test_stacked_kernel_is_bitwise_the_per_matrix_kernel(rng, g1_massive, g2_one
 
 def test_frobenius_screen_defers_to_the_two_norm():
     # a sheared diagonal unitary: ||U^dag U - I||_2 = 9e-9 is inside the
-    # bound, while the Frobenius norm (~1.27e-8) that screens the stack is not
+    # bound, while its Frobenius norm (~1.27e-8) is not; the bound is on the 2-norm
     u = np.array([[np.exp(0.3j), 9e-9], [0, np.exp(-1.1j)]])
     assert unitarity_defect(u) < 1e-8 < np.linalg.norm(adjoint(u) @ u - np.eye(2))
     assert_allclose(eigenpairs(np.stack([u, u]))[0], [[-0.3, 1.1]] * 2, atol=1e-14)
@@ -171,6 +174,73 @@ def test_bad_matrices_in_a_stack_name_the_first_index(rng):
     with pytest.raises(NonUnitaryError, match=r"stack index \(1, 2\)"):
         eigenpairs(stack)
 
+
+_INF_STACK = np.stack([np.eye(3)] * 2)
+_INF_STACK[1, 0, 1] = np.inf
+_SHEARED = np.array([[np.exp(0.3j), 1e-7], [0, np.exp(-1.1j)]])
+
+
+@pytest.mark.parametrize(
+    "u, message, warned",
+    [
+        (np.diag([1.0, 2.0]), "unitarity defect 3.000e+00 exceeds 1.0e-08", set()),
+        (np.stack([np.eye(3), 1.1 * np.eye(3)]), "unitarity defect 2.100e-01 exceeds 1.0e-08 at stack index (1,)", set()),
+        (
+            np.stack([1e200 * np.eye(3)] * 2),
+            "unitarity defect nan exceeds 1.0e-08 at stack index (0,)",
+            {"overflow encountered in matmul", "invalid value encountered in matmul"},
+        ),
+        (_INF_STACK, "unitarity defect nan exceeds 1.0e-08 at stack index (1,)", {"invalid value encountered in matmul"}),
+        (np.zeros((2, 3, 3)), "unitarity defect 1.000e+00 exceeds 1.0e-08 at stack index (0,)", set()),
+        (np.stack([np.eye(2), _SHEARED]), "unitarity defect 1.000e-07 exceeds 1.0e-08 at stack index (1,)", set()),
+        (np.array([[1, 1e-7], [0, 1]]), "unitarity defect 1.000e-07 exceeds 1.0e-08", set()),
+        (
+            (1 + 5e-10) * np.diag([np.exp(0.3j), np.exp(-1.1j)])[None],
+            "eigenvalue modulus defect 5.000e-10 exceeds 1.0e-10 at stack index (0,)",
+            set(),
+        ),
+    ],
+)
+def test_non_unitary_inputs_give_exact_messages_and_warnings(u, message, warned):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonUnitaryError) as info:
+            eigenpairs(u)
+    assert str(info.value) == message
+    assert {str(w.message) for w in caught} == warned
+    assert all(w.category is RuntimeWarning for w in caught)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 16),
+    st.lists(st.tuples(st.integers(0, 5), st.floats(-12.0, -6.0), st.booleans()), max_size=4),
+)
+def test_every_defect_above_the_bound_is_reported_at_its_first_index(seed, count, n, perturbations):
+    # general or strictly upper-triangular (non-normal) perturbations of
+    # Haar unitaries, with 2-norm 10^-12 .. 10^-6, on either side of the bound
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_random_unitary(rng, n) for _ in range(count)])
+    for member, exponent, upper in perturbations:
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if upper:
+            e = np.triu(e, 1)
+        if e.any():
+            stack[member % count] += 10.0**exponent * e / operator_norm(e)
+    defects = unitarity_defect(stack)
+    failing = np.flatnonzero(defects > DEFAULT_UNITARY_TOL)
+    try:
+        eigenpairs(stack)
+        message = ""
+    except (NonUnitaryError, EigensolveError) as exc:
+        message = str(exc)
+    if failing.size:
+        i = int(failing[0])
+        assert message == f"unitarity defect {defects[i]:.3e} exceeds 1.0e-08 at stack index ({i},)"
+    else:
+        assert not message.startswith("unitarity defect")
 
 
 def test_eigenvalue_off_the_circle_blames_the_input(rng):
