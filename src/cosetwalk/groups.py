@@ -158,7 +158,8 @@ class TilingData:
             if len(rule.shift) != self.dimension:
                 raise ValueError(f"shift {rule.shift} has wrong dimension")
             if not 0 <= rule.coset < self.index or not 0 <= rule.target < self.index:
-                raise ValueError(f"rule {rule} has coset index out of range")
+                raise ValueError(f"table row ({rule.generator.name}, j={rule.coset}) -> {rule.target} "
+                                 f"has a coset index outside 0..{self.index - 1}")
             key = (rule.generator, rule.coset)
             if key in seen:
                 raise ValueError(f"duplicate table row for {rule.generator.name}, j={rule.coset}")

@@ -1,6 +1,7 @@
 """Walk-spec files (canonical JSON) and CSV emitters.
 
-The walk-spec document is JSON with a fixed field order and floats printed
+The walk-spec document is JSON with a fixed field order and layout (one table
+row and one matrix row per line, every other list on one line) and floats printed
 with 17 significant digits, so export -> parse -> export is byte-identical.
 The CSV writers take _CSV_BLOCK_ROWS rows at a time: one "%.17g" call formats
 the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0), the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterable
 
 import numpy as np
 
@@ -43,72 +44,43 @@ def _format_float(x: float) -> str:
 
 
 def _is_scalar(x: Any) -> bool:
-    return isinstance(x, (int, float, str, np.integer, np.floating)) and not isinstance(x, bool)
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _emit(value: Any, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{inner}{json.dumps(key)}: {_emit(item, indent + 1)}' for key, item in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        # keep scalar rows (and rows of scalar pairs, like table entries or
-        # matrix rows) on one line
-        flat = all(
-            _is_scalar(x)
-            or (isinstance(x, (list, tuple)) and all(_is_scalar(y) for y in x))
-            for x in seq
-        )
-        if flat:
-            return "[" + ", ".join(_emit(x, indent + 1) for x in seq) + "]"
-        rows = [f"{inner}{_emit(x, indent + 1)}" for x in seq]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _flat(items: Iterable[str]) -> str:
+    return "[" + ", ".join(items) + "]"
 
 
-def _word_names(w: Word) -> list[str]:
-    return [g.name for g in w]
+def _rows(lines: list[str], pad: str) -> str:
+    return "[\n" + ",\n".join(f"{pad}  {line}" for line in lines) + f"\n{pad}]" if lines else "[]"
+
+
+def _words(words: Iterable[Iterable[GeneratorLabel]]) -> str:
+    return _flat(_flat(json.dumps(g.name) for g in w) for w in words)
 
 
 def dumps_walk(walk: WalkSpec) -> str:
     """Walk-spec JSON text for a walk, in canonical field order."""
-    alphabet = walk.presentation.alphabet
-    table_rows = []
-    for g in alphabet:
-        for j in range(walk.tiling.index):
-            target, shift = walk.tiling.row(g, j)
-            table_rows.append([g.name, j, target, list(shift)])
-    matrices = {}
-    for g in alphabet:
-        m = walk.transitions.matrix(g)
-        matrices[g.name] = [
-            [[float(entry.real), float(entry.imag)] for entry in row] for row in m
-        ]
-    doc = {
-        "dimension": walk.tiling.dimension,
-        "index": walk.tiling.index,
-        "coin_dim": walk.coin_dim,
-        "generators": [[g.name, g.inverse().name] for g in walk.presentation.generators],
-        "relators": [_word_names(r) for r in walk.presentation.relators],
-        "rep_words": [_word_names(w) for w in walk.tiling.rep_words],
-        "table": table_rows,
-        "transitions": matrices,
+    tiling = walk.tiling
+    table, matrices = [], []
+    for g in walk.presentation.alphabet:
+        for j in range(tiling.index):
+            target, shift = tiling.row(g, j)
+            table.append(_flat([json.dumps(g.name), str(j), str(target), _flat(map(str, shift))]))
+        rows = [_flat(_flat(map(_format_float, (z.real, z.imag))) for z in row)
+                for row in walk.transitions.matrix(g).tolist()]
+        matrices.append(f"    {json.dumps(g.name)}: {_rows(rows, '    ')}")
+    fields = {
+        "dimension": str(tiling.dimension),
+        "index": str(tiling.index),
+        "coin_dim": str(walk.coin_dim),
+        "generators": _words((g, g.inverse()) for g in walk.presentation.generators),
+        "relators": _words(walk.presentation.relators),
+        "rep_words": _words(tiling.rep_words),
+        "table": _rows(table, "  "),
+        "transitions": "{\n" + ",\n".join(matrices) + "\n  }",
     }
-    return _emit(doc, 0) + "\n"
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields.items()) + "\n}\n"
 
 
 def save_walk(walk: WalkSpec, path: str | Path) -> None:
@@ -127,7 +99,7 @@ def _require(doc: dict, key: str, kind: type) -> Any:
 def _finite_complex(entry: Any) -> complex:
     """An [re, im] pair of finite numbers (not bools) as one complex number.
 
-    ``complex`` itself rejects strings and raises OverflowError on huge ints.
+    ``complex`` itself raises OverflowError on huge ints.
     """
     if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_scalar, entry))):
         raise TypeError("expected an [re, im] pair of numbers")
@@ -186,6 +158,8 @@ def loads_walk(text: str) -> WalkSpec:
             raise WalkFileError(f"table[{i}] coset/target must be integers")
         if not (isinstance(shift, list) and all(type(x) is int for x in shift)):
             raise WalkFileError(f"table[{i}] shift must be a list of integers")
+        if any(abs(x) > 2**53 for x in shift):  # float64 holds every shift up to 2**53 exactly
+            raise WalkFileError(f"table[{i}] shift entries must be at most 2**53 in magnitude")
         rules.append(TilingRule(labels[name], coset, target, tuple(shift)))
 
     matrices: dict[GeneratorLabel, np.ndarray] = {}

@@ -13,12 +13,13 @@ from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
 from cosetwalk.evolve import LatticeState, evolve, make_delta, make_plane_wave, probability_map
-from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
+from cosetwalk.groups import GroupPresentation, TilingData, TilingError, TilingRule, generator, generator_pair
 from cosetwalk.io import (
     _CSV_BLOCK_ROWS,
     WalkFileError,
     _format_float,
     dumps_walk,
+    load_walk,
     loads_walk,
     save_dispersion_csv,
     save_walk,
@@ -29,6 +30,8 @@ from cosetwalk.linalg import EIGENSOLVE_MAX_DIM
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import TransitionFamily, WalkSpec, unitarity_residual
 from test_coarse import shift_walk_1d
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.mark.parametrize("maker", [
@@ -43,6 +46,187 @@ def test_walk_file_round_trip_is_byte_identical(maker):
     assert dumps_walk(rebuilt) == text
     residual, _ = unitarity_residual(rebuilt)
     assert residual < 1e-12
+
+
+def _reference_is_scalar(x):
+    return isinstance(x, (int, float, str, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _reference_emit(value, indent):
+    """The generic pretty-printer ``dumps_walk`` replaced, kept as the reference."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f'{inner}{json.dumps(key)}: {_reference_emit(item, indent + 1)}' for key, item in value.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        # keep scalar rows (and rows of scalar pairs, like table entries or
+        # matrix rows) on one line
+        flat = all(
+            _reference_is_scalar(x)
+            or (isinstance(x, (list, tuple)) and all(_reference_is_scalar(y) for y in x))
+            for x in seq
+        )
+        if flat:
+            return "[" + ", ".join(_reference_emit(x, indent + 1) for x in seq) + "]"
+        rows = [f"{inner}{_reference_emit(x, indent + 1)}" for x in seq]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_dumps(walk):
+    """The reference emitter on the document the replaced ``dumps_walk`` built."""
+    alphabet = walk.presentation.alphabet
+    table_rows = []
+    for g in alphabet:
+        for j in range(walk.tiling.index):
+            target, shift = walk.tiling.row(g, j)
+            table_rows.append([g.name, j, target, list(shift)])
+    matrices = {}
+    for g in alphabet:
+        m = walk.transitions.matrix(g)
+        matrices[g.name] = [
+            [[float(entry.real), float(entry.imag)] for entry in row] for row in m
+        ]
+    doc = {
+        "dimension": walk.tiling.dimension,
+        "index": walk.tiling.index,
+        "coin_dim": walk.coin_dim,
+        "generators": [[g.name, g.inverse().name] for g in walk.presentation.generators],
+        "relators": [[g.name for g in r] for r in walk.presentation.relators],
+        "rep_words": [[g.name for g in w] for w in walk.tiling.rep_words],
+        "table": table_rows,
+        "transitions": matrices,
+    }
+    return _reference_emit(doc, 0) + "\n"
+
+
+def _written(write, walk):
+    try:
+        return write(walk)
+    except TilingError as exc:
+        return f"TilingError: {exc}"
+
+
+_G1_CORNERS = [
+    ex.G1Params(walk_class, n, float(np.sqrt(1.0 - n * n)), sign)
+    for walk_class in ("I", "II") for sign in (1, -1) for n in (0.0, 0.3, 1 / np.sqrt(2), 0.8, 1.0)
+]
+
+
+@pytest.mark.parametrize("walk", [ex.g1_walk(p) for p in _G1_CORNERS] + [ex.g2_walk("I"), ex.g2_walk("II")])
+def test_writer_matches_the_reference_emitter_on_the_builtin_walks(walk):
+    assert dumps_walk(walk) == _reference_dumps(walk)
+
+
+def test_writer_matches_the_reference_emitter_on_every_loadable_fixture():
+    written = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            walk = load_walk(path)
+        except WalkFileError:
+            continue
+        written.append(_written(dumps_walk, walk))
+        assert written[-1] == _written(_reference_dumps, walk), path.name
+    # g1_row_dropped loads, but neither writer can write its incomplete table
+    assert len(written) == 3 and written[2] == "TilingError: table has no row for (b^-1, j=3)"
+
+
+_NAMES = st.one_of(
+    st.sampled_from(['"', "\\", 'q"\\', "é", "é́", "\U0001d49c", "\n", "a b"]),
+    st.text(st.characters(exclude_characters="^", exclude_categories=("Cs",)), min_size=1, max_size=3),
+)
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _any_walks(draw):
+    """A walk with a complete table of any targets and shifts (not
+    necessarily a group action): d 1-3, index 1-4, coin 1-3, 1-3 generators."""
+    d, index, coin = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gens = tuple(map(generator, draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))))
+    alphabet = [label for g in gens for label in (g, g.inverse())]
+    words = st.lists(st.sampled_from(alphabet), max_size=3).map(tuple)
+    relators = tuple(draw(st.lists(words, max_size=3)))
+    rep_words = ((),) + tuple(draw(words) for _ in range(index - 1))
+    shifts = st.lists(st.integers(-(2**53), 2**53), min_size=d, max_size=d).map(tuple)
+    rules = tuple(
+        TilingRule(g, j, draw(st.integers(0, index - 1)), draw(shifts)) for g in alphabet for j in range(index)
+    )
+    pairs = st.lists(st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=coin, max_size=coin), min_size=coin, max_size=coin)
+    matrices = {g: np.array([[complex(*z) for z in row] for row in draw(pairs)]) for g in alphabet}
+    return WalkSpec(GroupPresentation(gens, relators), TilingData(d, index, rep_words, rules),
+                    TransitionFamily(coin, matrices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=_any_walks())
+def test_writer_matches_the_reference_emitter_on_drawn_walks(walk):
+    text = dumps_walk(walk)
+    assert text == _reference_dumps(walk)
+    assert dumps_walk(loads_walk(text)) == text
+
+
+_G2_CLASS_I = """{
+  "dimension": 2,
+  "index": 2,
+  "coin_dim": 2,
+  "generators": [["a", "a^-1"], ["b", "b^-1"]],
+  "relators": [["a", "a", "b^-1", "b^-1"]],
+  "rep_words": [[], ["a^-1"]],
+  "table": [
+    ["a", 0, 1, [0, 0]],
+    ["a", 1, 0, [1, 0]],
+    ["a^-1", 0, 1, [-1, 0]],
+    ["a^-1", 1, 0, [0, 0]],
+    ["b", 0, 1, [0, 1]],
+    ["b", 1, 0, [1, -1]],
+    ["b^-1", 0, 1, [-1, 1]],
+    ["b^-1", 1, 0, [0, -1]]
+  ],
+  "transitions": {
+    "a": [
+      [[0.5, 0], [0, 0]],
+      [[0.5, 0], [0, 0]]
+    ],
+    "a^-1": [
+      [[0, 0], [0.5, 0]],
+      [[0, 0], [0.5, 0]]
+    ],
+    "b": [
+      [[0.5, 0], [0, 0]],
+      [[-0.5, 0], [0, 0]]
+    ],
+    "b^-1": [
+      [[0, 0], [-0.5, 0]],
+      [[0, 0], [0.5, 0]]
+    ]
+  }
+}
+"""
+
+
+def test_show_example_g2_text_is_pinned(tmp_path, capsys):
+    out = tmp_path / "g2.json"
+    assert main(["show-example", "g2", "--params", "class=I", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote g2 to {out}\n"
+    assert out.read_text(encoding="utf-8") == _G2_CLASS_I
 
 
 def test_document_is_valid_json(g2_one):
@@ -328,8 +512,6 @@ def test_cli_non_unitary_walk_fails_with_one_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: unitarity residual")
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
 
 @pytest.mark.parametrize("fixture", ["g1_a_doubled.json", "g1_row_dropped.json"])
 def test_cli_evolve_rejects_a_broken_walk_before_stepping(fixture, monkeypatch, capsys):
@@ -363,6 +545,86 @@ def test_cli_walk_without_generators_is_a_parse_error(capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "parse error: a presentation needs at least one generator\n")
+
+
+_LOADING_COMMANDS = (["validate"], ["dispersion", "--grid", "3"], ["evolve", "--torus", "5", "--steps", "1"])
+
+
+def _assert_parse_error_everywhere(path, line, capsys):
+    for command, *extra in _LOADING_COMMANDS:
+        assert main([command, str(path), *extra]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {line}\n"), command
+
+
+@pytest.mark.parametrize("shift", [None, 2**53 + 1, -(2**53) - 1], ids=["fixture-10**400", "2**53+1", "-2**53-1"])
+def test_cli_walk_file_shift_beyond_2_53_is_a_parse_error(shift, tmp_path, capsys):
+    # a displacement float64 cannot hold exactly: 10**400 made dispersion
+    # die in float conversion, 2**70 gave rounded displacements and exit 0
+    path = FIXTURES / "line_huge_shift.json"
+    if shift is not None:
+        doc = json.loads(path.read_text())
+        doc["table"][0][3], doc["table"][1][3] = [shift], [-shift]
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(doc))
+    _assert_parse_error_everywhere(path, "table[0] shift entries must be at most 2**53 in magnitude", capsys)
+
+
+def test_walk_file_shift_of_2_53_loads(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "line_huge_shift.json").read_text())
+    doc["table"][0][3], doc["table"][1][3] = [2**53], [-(2**53)]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    assert load_walk(path).tiling.max_shift == 2**53
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr() == ("tiling: ok\nunitarity residual: 0.000e+00\nunitarity: ok\n", "")
+
+
+_G2_DOC = json.loads(dumps_walk(ex.g2_walk("I")))
+
+
+@pytest.mark.parametrize("edits, line", [
+    ({("table", 0, 3): [1, 0, 0]}, "shift (1, 0, 0) has wrong dimension"),
+    ({("table", 0, 1): -1}, "table row (a, j=-1) -> 1 has a coset index outside 0..1"),
+    ({("table", 0, 2): 2}, "table row (a, j=0) -> 2 has a coset index outside 0..1"),
+    ({("table", 1): ["a", 0, 1, [0, 0]]}, "duplicate table row for a, j=0"),
+    ({("dimension",): 0}, "dimension must be positive"),
+    ({("index",): 0}, "index must be positive"),
+    ({("coin_dim",): 0, ("transitions",): {}}, "coin dimension must be positive"),
+    ({("table",): _G2_DOC["table"][:6]}, "tiling table rows do not cover the alphabet exactly"),
+    ({("transitions",): {k: v for k, v in _G2_DOC["transitions"].items() if k != "b^-1"}},
+     "transition matrices do not cover the alphabet exactly"),
+], ids=["shift-length", "coset", "target", "duplicate-row", "dimension-0", "index-0", "coin-dim-0",
+        "letter-without-rows", "letter-without-matrix"])
+def test_cli_walk_file_rejects_are_one_parse_error_line(edits, line, tmp_path, capsys):
+    doc = json.loads(json.dumps(_G2_DOC))
+    for (*parents, last), value in edits.items():
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps(doc))
+    _assert_parse_error_everywhere(path, line, capsys)
+
+
+def _shifted_builtin(name, params=None, *, builtin=ex.builtin_walk):
+    """``examples.builtin_walk`` (bound as the default, before any patch) with
+    its closed form moved by 0.1, so the oracle must fail."""
+    walk, closed_form = builtin(name, params)
+    return walk, lambda k: closed_form(k) + 0.1
+
+
+@pytest.mark.parametrize("argv, patched, code, out, err", [
+    (["evolve", "--example", "g1", "--steps", "-1"], False, 2, "", "error: --steps must be nonnegative\n"),
+    (["dispersion", "--example", "g2", "--grid", "9", "--oracle"], True, 1,
+     "oracle deviation: 1.000e-01\noracle: FAIL (tolerance 1.0e-09)\n", ""),
+], ids=["evolve-negative-steps", "oracle-fail"])
+def test_cli_reject_branches(argv, patched, code, out, err, monkeypatch, capsys):
+    if patched:
+        monkeypatch.setattr(ex, "builtin_walk", _shifted_builtin)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cli_validate_rejects_boolean_table_cells(capsys):
