@@ -6,8 +6,9 @@ A_g psi(v, j) accumulates at site v - h_{j,g} (mod N) in coset target(g, j).
 ``evolve`` applies the coarse-grained walk W = sum_h T_h (x) B_h of
 ``coarse.shift_blocks`` in coset-major layout (l, s, sites), with one product
 per (shift, target coset) pair that table rules connect instead of a dense
-B_h product, the target cosets split between one thread per available core
-with the same bits at any core count; ``step`` is one such step.
+B_h product, over only the axis-0 rows that the state can have reached, with
+the target cosets split between one thread per available core and the bits
+of full-torus steps (zero signs aside) at any core count; ``step`` takes one.
 ``evolve_fourier`` applies U(k) at every torus momentum.  The torus must be
 wide enough that no displacement wraps onto itself within a single step.
 """
@@ -132,17 +133,37 @@ def make_plane_wave(
     return LatticeState(amps)
 
 
-def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...]):
-    """(destination, source) slice pairs with out[v] += term[(v + shift) mod sizes]."""
+def _wrapped_pieces(sizes: tuple[int, ...], shift: tuple[int, ...], band: tuple[int, int]) -> list:
+    """(destination, source) index pairs: out[:, v] += term[:, (v + shift) mod sizes], v + shift in the band."""
     per_axis = []
-    for n, h in zip(sizes, shift):
-        h %= n
-        if h == 0:
-            per_axis.append([(slice(None), slice(None))])
-        else:
-            per_axis.append([(slice(0, n - h), slice(h, n)), (slice(n - h, n), slice(0, h))])
-    for combo in itertools.product(*per_axis):
-        yield tuple(dst for dst, _ in combo), tuple(src for _, src in combo)
+    for n, h, (first, count) in zip(sizes, shift, (band,) + tuple((0, n) for n in sizes[1:])):
+        pieces, row = [], first
+        while row < first + count:  # a piece ends where its source or its destination wraps
+            src, dst = row % n, (row - h) % n
+            length = min(first + count - row, n - src, n - dst)
+            pieces.append((slice(dst, dst + length), slice(src, src + length)))
+            row += length
+        per_axis.append(pieces)
+    return [
+        ((slice(None),) + tuple(dst for dst, _ in combo), (slice(None),) + tuple(src for _, src in combo))
+        for combo in itertools.product(*per_axis)
+    ]
+
+
+def _support_band(amplitudes: np.ndarray) -> tuple[int, int]:
+    """(first, count): the fewest cyclically consecutive axis-0 rows first, ..., first + count - 1 (mod N)
+    that hold every amplitude != 0, or (0, N) when no gap between them is wider than one row or there are none."""
+    n = amplitudes.shape[0]
+    rows = np.flatnonzero(np.any(amplitudes.reshape(n, -1) != 0, axis=1))
+    gaps = np.diff(rows, append=rows[:1] + n)  # the band starts after the widest gap
+    i = int(np.argmax(gaps)) if rows.size else 0
+    return (int(rows[(i + 1) % rows.size]), n + 1 - int(gaps[i])) if gaps.max(initial=1) > 1 else (0, n)
+
+
+# OpenBLAS computes a product's column by its place in a group of at most 16 columns, and numpy sends a
+# one-column product to another kernel.  A window that starts at a multiple of _ALIGN, ends at one or at the
+# last site and is not the last site alone gives each column the bits of the full-torus product.
+_ALIGN = 16
 
 
 def step(walk: WalkSpec, state: LatticeState) -> LatticeState:
@@ -162,6 +183,13 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
     order of a dense B_h product.  Thread w (one per available core, at most
     l) runs the products of the targets t = w (mod threads), the caller runs
     w = 0, and each out[t] gets the same sums in the same order at any core count.
+
+    A step touches only a band of axis-0 rows that holds every amplitude != 0:
+    those of ``state``, widened each step by the largest and smallest axis-0
+    shift until it is the torus.  Products run on ``_ALIGN``-aligned column
+    windows (two if it wraps past row 0) and add only its rows into zeroed
+    buffers, so with finite coins every amplitude has full-torus bits up to the
+    sign of a zero.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -170,51 +198,60 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
         return state
     l, s = walk.tiling.index, walk.coin_dim
     sites = state.amplitudes.size // walk.block_dim
+    n, per_row = state.sizes[0], sites // state.sizes[0]
     shifts, blocks = shift_blocks(walk)
+    low, high = min(h[0] for h in shifts), max(h[0] for h in shifts)
     position = {h: i for i, h in enumerate(shifts)}
     sources: dict[tuple[int, int], set[int]] = {}  # (shift index, target) -> cosets
     for rule in walk.tiling.rules:
         sources.setdefault((position[rule.shift], rule.target), set()).add(rule.coset)
     workers = available_workers(l)
-    plan = [[] for _ in range(workers)]  # thread t % workers: (row strip of B_h, span of sources, t, wrapped slices)
+    plan = [[] for _ in range(workers)]  # thread t % workers: (row strip of B_h, span of sources, t, shift index)
     for (i, t), cosets in sorted(sources.items()):
         lo, hi = min(cosets), max(cosets) + 1
         strip = np.ascontiguousarray(blocks[i, s * t : s * t + s, s * lo : s * hi])
-        pieces = None if i == 0 else [
-            ((slice(None),) + dst, (slice(None),) + src)
-            for dst, src in _wrapped_pieces(state.sizes, shifts[i])
-        ]
-        plan[t % workers].append((strip, slice(lo, hi), t, pieces))
+        plan[t % workers].append((strip, slice(lo, hi), t, i))
     unwritten = [t for t in range(l) if (0, t) not in sources]
     terms = [np.empty((s,) + state.sizes, dtype=complex) for _ in range(workers)]  # one per thread
 
-    def advance(products: list, term_sites: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    def reach(band: tuple[int, int]) -> tuple[list, list]:  # the band's column windows, each shift's adds of its rows
+        first, count = band[0] * per_row, band[1] * per_row  # in columns
+        spans = ((first, min(first + count, sites)), (0, first + count - sites))  # the part past the last row wraps
+        windows = [slice(min(a, max(sites - 2, 0)) // _ALIGN * _ALIGN, min(-(-b // _ALIGN) * _ALIGN, sites))
+                   for a, b in spans if a < b]
+        return windows, [[]] + [_wrapped_pieces(state.sizes, h, band) for h in shifts[1:]]
+
+    def advance(products: list, term_sites: np.ndarray, psi: np.ndarray, out: np.ndarray, windows, pieces) -> None:
         term = term_sites.reshape(s, sites)
-        for strip, span, t, pieces in products:
+        for strip, span, t, i in products:
             source = psi[span].reshape(-1, sites)
-            if pieces is None:
-                np.matmul(strip, source, out=out[t])
-                continue
-            np.matmul(strip, source, out=term)
+            for w in windows:  # the zero shift writes out[t] itself
+                np.matmul(strip, source[:, w], out=(term if i else out[t])[:, w])
             out_sites = out[t].reshape(term_sites.shape)
-            for dst, src in pieces:
+            for dst, src in pieces[i]:
                 out_sites[dst] += term_sites[src]
 
+    band = _support_band(state.amplitudes)
+    windows, pieces = reach(band)
     psi = np.empty((l, s, sites), dtype=complex)
     # an explicit copy: a reshape or transpose may be a view of the caller's state
     psi.reshape(l * s, sites)[...] = state.amplitudes.reshape(sites, l * s).T
-    out = np.empty_like(psi)
+    out = np.zeros_like(psi)
     if workers > 1:  # imported here, as in coarse.map_kchunks
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
         for _ in range(steps):
-            for t in unwritten:  # before the products that add into them
-                out[t] = 0.0
-            futures = [pool.submit(advance, plan[w], terms[w], psi, out) for w in range(1, workers)]
-            advance(plan[0], terms[0], psi, out)
+            for t, w in itertools.product(unwritten, windows):  # the rows out held two steps ago, before any add
+                out[t][:, w] = 0.0
+            futures = [pool.submit(advance, plan[w], terms[w], psi, out, windows, pieces) for w in range(1, workers)]
+            advance(plan[0], terms[0], psi, out, windows, pieces)
             for future in futures:  # re-raises a worker's error
                 future.result()
             psi, out = out, psi
+            if band[1] < n:  # out[v] sums psi[v + h]: the band's rows moved by -high to -low
+                first, count = (band[0] - high) % n, band[1] + high - low
+                band = (first, count) if count < n else (0, n)
+                windows, pieces = reach(band)
     amplitudes = out.reshape(sites, l * s)  # the spare buffer takes the result back
     amplitudes[...] = psi.reshape(l * s, sites).T
     return LatticeState(amplitudes.reshape(state.amplitudes.shape))

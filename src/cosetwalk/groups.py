@@ -267,7 +267,7 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> tupl
                     ValidationProblem("table", f"missing row for ({g.name}, j={j})")
                 )
                 complete = False
-    for g in tiling.generators:
+    for g in dict.fromkeys(rule.generator for rule in tiling.rules):  # in table order
         if g not in alphabet:
             problems.append(
                 ValidationProblem("table", f"table row for unknown generator {g.name}")

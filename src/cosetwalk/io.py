@@ -63,10 +63,10 @@ def dumps_walk(walk: WalkSpec) -> str:
     """Walk-spec JSON text for a walk, in canonical field order."""
     tiling = walk.tiling
     table, matrices = [], []
+    slots = {(rule.generator, rule.coset): rule for rule in tiling.rules}
     for g in walk.presentation.alphabet:
-        for j in range(tiling.index):
-            target, shift = tiling.row(g, j)
-            table.append(_flat([json.dumps(g.name), str(j), str(target), _flat(map(str, shift))]))
+        for rule in (slots[g, j] for j in range(tiling.index) if (g, j) in slots):  # a missing row stays missing
+            table.append(_flat([json.dumps(g.name), str(rule.coset), str(rule.target), _flat(map(str, rule.shift))]))
         rows = [_flat(_flat(map(_format_float, (z.real, z.imag))) for z in row)
                 for row in walk.transitions.matrix(g).tolist()]
         matrices.append(f"    {json.dumps(g.name)}: {_rows(rows, '    ')}")

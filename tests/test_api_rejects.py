@@ -48,6 +48,10 @@ def _validation_messages(tiling):
     (lambda: make_plane_wave(ex.g2_walk("I"), 5, (1, 0, 0)), ValueError, "momentum index needs 2 components"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
+    (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
+     None, ["[table] table row for unknown generator c", "[table] table row for unknown generator c^-1"]),
+    (lambda: _validation_messages(_line_tiling(TilingRule(C.inverse(), 0, 0, (0,)), TilingRule(C, 0, 0, (0,)))),
+     None, ["[table] table row for unknown generator c^-1", "[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(rep_words=((), (C,)))),
      None, ["[representative] word c failed: 'c^-1'"]),
 ], ids=[
@@ -55,7 +59,8 @@ def _validation_messages(tiling):
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
     "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
     "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
-    "validate-unknown-letter-row", "validate-unknown-letter-representative",
+    "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
+    "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])
 def test_api_rejects_name_the_problem(call, error, message):
     if error is None:

@@ -1,9 +1,10 @@
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cosetwalk.evolve as evolve_module
@@ -453,6 +454,176 @@ def test_an_error_in_a_step_thread_reaches_the_caller(g1_massive, cores, monkeyp
     assert not runner.is_alive()
     assert errors == ["product failed in a step thread"]
     assert threading.active_count() == threads_before  # the pool shut down
+
+
+# --- the row band against the full-torus step --------------------------------
+
+
+def full_torus_wrapped_pieces(sizes, shift):
+    """(destination, source) slice pairs with out[v] += term[(v + shift) mod sizes] over the whole torus."""
+    per_axis = []
+    for n, h in zip(sizes, shift):
+        h %= n
+        if h == 0:
+            per_axis.append([(slice(None), slice(None))])
+        else:
+            per_axis.append([(slice(0, n - h), slice(h, n)), (slice(n - h, n), slice(0, h))])
+    for combo in itertools.product(*per_axis):
+        yield tuple(dst for dst, _ in combo), tuple(src for _, src in combo)
+
+
+def full_torus_evolve(walk, state, steps):
+    """Bit reference: ``evolve`` as it was before the row band, multiplying and adding
+    every site on every step.  It runs every target coset on one thread; ``evolve``
+    gives each target coset the same sums in the same order at any thread count."""
+    l, s = walk.tiling.index, walk.coin_dim
+    sites = state.amplitudes.size // walk.block_dim
+    shifts, blocks = shift_blocks(walk)
+    position = {h: i for i, h in enumerate(shifts)}
+    sources = {}
+    for rule in walk.tiling.rules:
+        sources.setdefault((position[rule.shift], rule.target), set()).add(rule.coset)
+    term_sites = np.empty((s,) + state.sizes, dtype=complex)
+    term = term_sites.reshape(s, sites)
+    psi = np.empty((l, s, sites), dtype=complex)
+    psi.reshape(l * s, sites)[...] = state.amplitudes.reshape(sites, l * s).T
+    out = np.empty_like(psi)
+    for _ in range(steps):
+        for t in range(l):
+            if (0, t) not in sources:
+                out[t] = 0.0
+        for (i, t), cosets in sorted(sources.items()):
+            lo, hi = min(cosets), max(cosets) + 1
+            strip = np.ascontiguousarray(blocks[i, s * t : s * t + s, s * lo : s * hi])
+            source = psi[lo:hi].reshape(-1, sites)
+            if i == 0:
+                np.matmul(strip, source, out=out[t])
+                continue
+            np.matmul(strip, source, out=term)
+            out_sites = out[t].reshape(term_sites.shape)
+            for dst, src in full_torus_wrapped_pieces(state.sizes, shifts[i]):
+                out_sites[(slice(None),) + dst] += term_sites[(slice(None),) + src]
+        psi, out = out, psi
+    return np.ascontiguousarray(psi.reshape(l * s, sites).T).reshape(state.amplitudes.shape)
+
+
+BAND_WALKS = ALL_WALKS + [shift_walk_1d(), shared_slot_walk(np.random.default_rng(7))]
+BAND_WALK_IDS = WALK_IDS + ["line", "shared-slot"]
+
+
+def steps_to_cover(walk, size, rows):
+    """Steps after which a band of ``rows`` rows covers ``size`` rows of axis 0."""
+    spread = np.ptp([h[0] for h in shift_blocks(walk)[0]])
+    return -(-(size - rows) // spread)
+
+
+def assert_band_bits(walk, state, steps, cores):
+    """``evolve`` has the reference's bits on one core and on three, up to the sign of a zero:
+    a sum that is -0.0 in the band stays -0.0 where the full-torus step added a +0.0 from a
+    row outside it (+ 0.0 maps -0.0 to 0.0 and keeps every other value's bits)."""
+    reference = (full_torus_evolve(walk, state, steps) + 0.0).tobytes()
+    for count in (1, 3):
+        cores(count)
+        assert (evolve(walk, state, steps).amplitudes + 0.0).tobytes() == reference
+
+
+def localized_state(rng, walk, sizes, rows, density=1.0):
+    """Random complex amplitudes on a ``density`` share of the cells of the axis-0 ``rows``, zero elsewhere."""
+    amplitudes = np.zeros(tuple(sizes) + (walk.tiling.index, walk.coin_dim), dtype=complex)
+    for row in rows:
+        cells = amplitudes[row % sizes[0]]
+        values = rng.normal(size=cells.shape) + 1j * rng.normal(size=cells.shape)
+        cells[...] = np.where(rng.random(cells.shape) < density, values, 0)
+    return LatticeState(amplitudes)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_band_steps_have_the_bits_of_full_torus_steps(data, cores):
+    walk = data.draw(st.sampled_from(BAND_WALKS), label="walk")
+    sizes = data.draw(st.tuples(*[st.integers(3, 40)] * walk.tiling.dimension), label="sizes")
+    n = sizes[0]
+    rows = data.draw(st.integers(1, min(4, n)), label="rows")
+    first = data.draw(st.sampled_from([0, n - 1, n - rows]) | st.integers(0, n - 1), label="first row")
+    cover = steps_to_cover(walk, n, rows)
+    steps = max(1, cover + data.draw(st.integers(-4, 4), label="steps past coverage"))
+    density = data.draw(st.sampled_from([1.0, 0.5]), label="share of nonzero cells")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    assert_band_bits(walk, localized_state(rng, walk, sizes, range(first, first + rows), density), steps, cores)
+
+
+@pytest.mark.parametrize(
+    "walk, sizes, rows",
+    [
+        (shift_walk_1d(), (17,), [16]),  # a window of the last site alone would take numpy's matrix-vector path
+        (BAND_WALKS[-1], (33,), [32]),
+        (BAND_WALKS[-1], (17,), [16, 17]),
+        (ALL_WALKS[1], (33, 33), [32, 33]),
+        (ALL_WALKS[3], (128, 128), [0]),
+        (ALL_WALKS[5], (24, 9), [23]),
+        (ALL_WALKS[4], (101, 7), [50]),
+    ],
+    ids=["line-17", "shared-slot-33", "shared-slot-17-wrapped", "g1-33", "g1-128", "g2-II-rectangle", "g2-101"],
+)
+def test_band_steps_before_at_and_after_coverage_have_the_full_torus_bits(walk, sizes, rows, cores):
+    cover = steps_to_cover(walk, sizes[0], len(rows))
+    state = localized_state(np.random.default_rng(sizes[0]), walk, sizes, rows)
+    for steps in (1, cover - 1, cover, cover + 1):
+        assert_band_bits(walk, state, steps, cores)
+
+
+@pytest.mark.parametrize("walk", BAND_WALKS, ids=BAND_WALK_IDS)
+def test_all_zero_and_full_support_states_have_the_full_torus_bits(walk, rng, cores):
+    sizes = (9, 7)[: walk.tiling.dimension]
+    zero = LatticeState(np.zeros(sizes + (walk.tiling.index, walk.coin_dim), dtype=complex))
+    for state in (zero, random_state(rng, walk, sizes)):
+        for steps in (1, 4):
+            assert_band_bits(walk, state, steps, cores)
+
+
+def test_the_band_is_the_fewest_cyclic_rows_that_hold_the_support():
+    def band(rows, n=10):
+        amplitudes = np.zeros((n, 3, 2, 1), dtype=complex)
+        amplitudes[rows, 1, 1] = 1.0
+        amplitudes[7, 2] = -0.0  # a negative zero is no amplitude
+        return evolve_module._support_band(amplitudes)
+
+    assert band([4]) == (4, 1)
+    assert band([0, 9]) == (9, 2)
+    assert band([2, 5, 9]) == (9, 7)
+    assert band(list(range(9))) == (0, 9)
+    assert band([0, 2, 4, 6, 8, 9]) == (2, 9)  # the first of two widest gaps
+    assert band([]) == band(list(range(10))) == (0, 10)
+    nan = np.zeros((5, 2, 1, 1), dtype=complex)
+    nan[3] = np.nan
+    assert evolve_module._support_band(nan) == (3, 1)
+
+
+class _NumpyRecordingWindows:
+    """numpy, except that ``matmul`` records the column count of each product's right operand."""
+
+    def __init__(self):
+        self.columns = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.columns.append(b.shape[1])
+        return np.matmul(a, b, **kwargs)
+
+
+def test_a_localized_state_multiplies_only_the_columns_its_band_reaches(g1_massive, cores, monkeypatch):
+    cores(1)
+    recording = _NumpyRecordingWindows()
+    monkeypatch.setattr(evolve_module, "np", recording)
+    delta = make_delta(g1_massive, 128)
+    evolve(g1_massive, delta, 2)  # row 0, then rows 127, 0 and 1 in two windows
+    per_step = len(recording.columns) // 3
+    assert recording.columns == [128] * per_step + [128, 256] * per_step
+    recording.columns.clear()
+    evolve(g1_massive, make_plane_wave(g1_massive, 128, (1, 2)), 1)
+    assert recording.columns == [128 * 128] * per_step
 
 
 # --- the Fourier check in k-space chunks --------------------------------------

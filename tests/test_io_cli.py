@@ -140,9 +140,24 @@ def test_writer_matches_the_reference_emitter_on_every_loadable_fixture():
         except WalkFileError:
             continue
         written.append(_written(dumps_walk, walk))
-        assert written[-1] == _written(_reference_dumps, walk), path.name
-    # g1_row_dropped loads, but neither writer can write its incomplete table
-    assert len(written) == 3 and written[2] == "TilingError: table has no row for (b^-1, j=3)"
+        if path.name != "g1_row_dropped.json":
+            assert written[-1] == _written(_reference_dumps, walk), path.name
+    # g1_row_dropped loads; the reference emitter cannot write its incomplete
+    # table, and the writer gives back the fixture's own text
+    assert len(written) == 3
+    assert _written(_reference_dumps, load_walk(FIXTURES / "g1_row_dropped.json")).startswith("TilingError")
+    assert written[2] == (FIXTURES / "g1_row_dropped.json").read_text(encoding="utf-8")
+
+
+def test_a_table_with_a_missing_row_round_trips_and_keeps_its_finding(tmp_path, capsys):
+    saved = tmp_path / "saved.json"
+    save_walk(load_walk(FIXTURES / "g1_row_dropped.json"), saved)
+    assert dumps_walk(load_walk(saved)) == saved.read_text(encoding="utf-8")
+    findings = []
+    for path in (FIXTURES / "g1_row_dropped.json", saved):
+        assert main(["validate", str(path)]) == 1
+        findings.append(capsys.readouterr().out)
+    assert findings[0] == findings[1] and "[table] missing row for (b^-1, j=3)" in findings[0]
 
 
 _NAMES = st.one_of(
