@@ -157,6 +157,8 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be nonnegative")
+    if args.momentum is not None and args.init != "planewave":
+        raise UsageError("--momentum applies only to --init planewave")
     walk, _ = _checked_walk(args)
     _bound_entries(
         args.torus ** walk.tiling.dimension * walk.block_dim, f"--torus {args.torus}",
@@ -165,11 +167,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.init == "delta":
         state = make_delta(walk, args.torus)
     else:
+        d = walk.tiling.dimension
+        text = ",".join(["1"] + ["0"] * (d - 1)) if args.momentum is None else args.momentum
         try:
-            momentum = tuple(int(x) for x in args.momentum.split(","))
+            momentum = tuple(int(x) for x in text.split(","))
         except ValueError:
             raise UsageError(f"--momentum must be integers, got {args.momentum!r}") from None
-        d = walk.tiling.dimension
         if len(momentum) != d or any(abs(m) >= args.torus for m in momentum):
             raise UsageError(f"--momentum needs {d} integers of magnitude below --torus")
         state = make_plane_wave(walk, args.torus, momentum)
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--torus", type=int, default=16, help="sites per axis")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--init", choices=["delta", "planewave"], default="delta")
-    p.add_argument("--momentum", default="1,0", help="integer momentum index (each |m| < --torus) for --init planewave")
+    p.add_argument("--momentum", help="integer index for --init planewave, each |m| < --torus (default 1,0,...,0)")
     p.add_argument("--out", help="probability CSV output path")
     p.set_defaults(handler=cmd_evolve)
 

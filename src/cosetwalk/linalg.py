@@ -67,8 +67,12 @@ def unitarity_defect(m: np.ndarray):
 
 
 def wrap_phase(x):
-    """Map angles to the principal interval (-pi, pi]."""
-    w = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    """Map angles to the principal interval (-pi, pi].  ``np.mod`` runs only where
+    x + pi is outside [0, 2 pi), as it returns the rest unchanged: same bits."""
+    w = np.array(x, dtype=float)
+    w += np.pi
+    np.mod(w, 2.0 * np.pi, out=w, where=(w < 0.0) | (w >= 2.0 * np.pi))
+    w -= np.pi
     return np.where(w == -np.pi, np.pi, w)
 
 
@@ -217,18 +221,10 @@ def phase_multiset_distance(a, b):
     if a.shape != b.shape:
         raise ValueError(f"multiset shapes differ: {a.shape} vs {b.shape}")
     best = np.full(a.shape[:-1], np.inf)
-    np.fmin(best, _principal_distance(a, b).max(axis=-1, initial=0.0), out=best)
-    bounds = _principal_distance(a[..., :1], b)
+    np.fmin(best, circular_distance(a, b).max(axis=-1, initial=0.0), out=best)
+    bounds = circular_distance(a[..., :1], b)
     for shift in range(1, a.shape[-1]):
         rows = ~(bounds[..., -shift] >= best)
-        best[rows] = np.fmin(best[rows], _principal_distance(a[rows], np.roll(b[rows], shift, axis=-1)).max(axis=-1))
+        best[rows] = np.fmin(best[rows], circular_distance(a[rows], np.roll(b[rows], shift, axis=-1)).max(axis=-1))
     return float(best) if best.ndim == 0 else best
 
-
-def _principal_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``circular_distance`` bit for bit on a, b in (-pi, pi]: there a - b + pi
-    is in (-pi, 3 pi], where mod 2 pi is itself, one exact subtraction or one add."""
-    y = a - b + np.pi
-    np.subtract(y, 2.0 * np.pi, out=y, where=y >= 2.0 * np.pi)
-    np.add(y, 2.0 * np.pi, out=y, where=y < 0.0)
-    return np.abs(np.subtract(y, np.pi, out=y), out=y)

@@ -103,8 +103,7 @@ def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps=()) -> t
     points = np.concatenate([comps[None, :]] + [comps + s for s in shifts] + [comps - s for s in shifts])
     phases = eigenpairs(kspace_operators(walk, points))[0][:, band]
     upper, lower = phases[1:].reshape(2, len(steps), d)
-    forward = wrap_phase(upper[0] - phases[0])
-    backward = wrap_phase(phases[0] - lower[0])
+    forward, backward = wrap_phase(np.stack([upper[0] - phases[0], phases[0] - lower[0]]))
     kinked = np.flatnonzero(np.abs(forward - backward) > 50.0 * VELOCITY_STEP * VELOCITY_STEP)
     if kinked.size:
         raise BandCrossingError(
@@ -135,5 +134,6 @@ def band_curvature(walk: WalkSpec, k, band: int) -> np.ndarray:
             f"gradient component {worst:.3e} exceeds {GRADIENT_TOLERANCE:.1e}; "
             "curvature is defined at extrema only"
         )
-    coarse, fine = (wrap_phase(upper - center) + wrap_phase(lower - center)) / (steps * steps)[:, None]
+    above, below = wrap_phase(np.stack([upper, lower]) - center)
+    coarse, fine = (above + below) / (steps * steps)[:, None]
     return (4.0 * fine - coarse) / 3.0

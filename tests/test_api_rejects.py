@@ -8,8 +8,9 @@ import pytest
 
 from cosetwalk import examples as ex
 from cosetwalk.coarse import kspace_operators
-from cosetwalk.evolve import LatticeState, evolve_fourier, make_delta, make_plane_wave
+from cosetwalk.evolve import LatticeState, evolve, evolve_fourier, make_delta, make_plane_wave
 from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator, generator_pair, validate_tiling
+from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
 from cosetwalk.spectral import _components
 
@@ -42,10 +43,13 @@ def _validation_messages(tiling):
     (lambda: _components([[0.1, 0.2]], 2), ValueError, "wave-vector has shape (1, 2), expected (2,)"),
     (lambda: evolve_fourier(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
      "step count must be nonnegative"),
+    (lambda: evolve(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
+     "step count must be nonnegative"),
     (lambda: evolve_fourier(ex.g2_walk("I"), LatticeState(np.zeros((5, 6, 2, 2))), 1), ValueError,
      "fourier evolution expects a square torus"),
     (lambda: make_plane_wave(ex.g2_walk("I"), 5, (1,)), ValueError, "momentum index needs 2 components"),
     (lambda: make_plane_wave(ex.g2_walk("I"), 5, (1, 0, 0)), ValueError, "momentum index needs 2 components"),
+    (lambda: loads_walk("[]"), WalkFileError, "document root must be an object, got list"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
@@ -58,7 +62,8 @@ def _validation_messages(tiling):
     "presentation-duplicate-names", "presentation-inverse-in-s-plus", "presentation-unknown-relator-letter",
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
     "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
-    "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
+    "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
+    "walk-file-root-not-an-object",
     "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
     "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])

@@ -144,7 +144,7 @@ def test_writer_matches_the_reference_emitter_on_every_loadable_fixture():
             assert written[-1] == _written(_reference_dumps, walk), path.name
     # g1_row_dropped loads; the reference emitter cannot write its incomplete
     # table, and the writer gives back the fixture's own text
-    assert len(written) == 3
+    assert len(written) == 4
     assert _written(_reference_dumps, load_walk(FIXTURES / "g1_row_dropped.json")).startswith("TilingError")
     assert written[2] == (FIXTURES / "g1_row_dropped.json").read_text(encoding="utf-8")
 
@@ -606,11 +606,12 @@ _G2_DOC = json.loads(dumps_walk(ex.g2_walk("I")))
     ({("dimension",): 0}, "dimension must be positive"),
     ({("index",): 0}, "index must be positive"),
     ({("coin_dim",): 0, ("transitions",): {}}, "coin dimension must be positive"),
+    ({("rep_words", 1): ["z"]}, "rep_words[1] uses unknown generator 'z'"),
     ({("table",): _G2_DOC["table"][:6]}, "tiling table rows do not cover the alphabet exactly"),
     ({("transitions",): {k: v for k, v in _G2_DOC["transitions"].items() if k != "b^-1"}},
      "transition matrices do not cover the alphabet exactly"),
 ], ids=["shift-length", "coset", "target", "duplicate-row", "dimension-0", "index-0", "coin-dim-0",
-        "letter-without-rows", "letter-without-matrix"])
+        "rep-word-unknown-letter", "letter-without-rows", "letter-without-matrix"])
 def test_cli_walk_file_rejects_are_one_parse_error_line(edits, line, tmp_path, capsys):
     doc = json.loads(json.dumps(_G2_DOC))
     for (*parents, last), value in edits.items():
@@ -879,6 +880,20 @@ def test_cli_planewave_init(capsys):
     assert drift < 1e-12
 
 
+@pytest.mark.parametrize("source, momentum", [
+    (["{line}"], "1"), (["--example", "g1"], "1,0"), (["--example", "g2", "--params", "class=II"], "1,0"),
+], ids=["line", "g1", "g2"])
+def test_cli_planewave_default_momentum_is_one_on_the_first_axis(source, momentum, tmp_path, capsys):
+    save_walk(_line_walk(), tmp_path / "line.json")
+    runs = []
+    for given in ([], ["--momentum", momentum]):
+        out = tmp_path / "p.csv"
+        argv = ["evolve", *source, "--init", "planewave", "--torus", "5", "--steps", "1", *given, "--out", str(out)]
+        assert main([arg.format(line=tmp_path / "line.json") for arg in argv]) == 0
+        runs.append((capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def _line_walk():
     """The unit shift on Z: one generator t, coin dimension 1."""
     t, t_inv = generator_pair("t")
@@ -916,12 +931,13 @@ def _scalar_g1_walk():
     ["evolve", "--example", "g1", "--torus", "16", "--frobnicate"],
     ["evolve", "--example", "g1", "--torus"],
     ["evolve", "--example", "g1", "--init", "planewave", "--momentum", "-3,99", "--torus", "16"],
+    ["evolve", "--example", "g1", "--momentum", "3,4"],
 ], ids=[
     "momentum-not-integer", "momentum-wrong-length", "momentum-huge", "isotropy-coin-1",
     "isotropy-not-ab", "suite-no-samples", "suite-negative-samples", "suite-negative-seed",
     "g1-nan-n", "g1-nan-m", "g1-unknown-param", "g2-unknown-param", "file-with-params",
     "file-with-example", "repeated-param", "tolerance-nan", "tolerance-negative", "tolerance-inf",
-    "unknown-flag", "missing-value", "negative-momentum",
+    "unknown-flag", "missing-value", "negative-momentum", "momentum-without-planewave",
 ])
 def test_cli_bad_arguments_are_one_line_usage_errors(argv, tmp_path, capsys):
     files = {"line": _line_walk(), "scalar_g1": _scalar_g1_walk()}

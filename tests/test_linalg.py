@@ -15,7 +15,6 @@ from cosetwalk.linalg import (
     IDENTITY2,
     NonUnitaryError,
     PAULI_X,
-    _principal_distance,
     adjoint,
     circular_distance,
     eigenpairs,
@@ -356,6 +355,31 @@ def test_circular_distance_equals_the_inline_wrap_bit_for_bit(rng):
         assert np.array_equal(circular_distance(edge, 0.0), inline(edge, 0.0))
 
 
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def test_wrap_phase_equals_the_inline_wrap_bit_for_bit(rng):
+    def inline(x):
+        w = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+        return np.where(w == -np.pi, np.pi, w)
+
+    specials = [2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, -3.0 * np.pi, 1e300, -1e300, np.nan, np.inf, -np.inf]
+    inputs = [rng.uniform(-50.0, 50.0, (64, 8)), rng.uniform(-np.pi, np.pi, 1000), EDGE_PHASES,
+              -EDGE_PHASES, np.array(specials), np.array([np.nan, 1.0]), [1, -7, 30]]
+    inputs += specials + [float(v) for v in EDGE_PHASES] + [np.array(v) for v in specials] + [-np.pi, 0, 4]
+    for x in inputs:
+        (wrapped, warned), (reference, expected) = _recorded(lambda: wrap_phase(x)), _recorded(lambda: inline(x))
+        assert type(wrapped) is type(reference) and wrapped.shape == reference.shape
+        assert np.array_equal(wrapped, reference, equal_nan=True)
+        assert np.array_equal(np.signbit(wrapped), np.signbit(reference))
+        assert warned == expected
+    assert _recorded(lambda: wrap_phase(np.inf))[1] == [(RuntimeWarning, "invalid value encountered in remainder")]
+
+
 def test_multiset_distance_handles_wraparound():
     eps = 1e-6
     a = [np.pi - eps, 0.1]
@@ -437,7 +461,7 @@ def _offset_loop_distance(a, b):
     return float(best) if best.ndim == 0 else best
 
 
-# the edges of (-pi, pi] and of the masked subtract and add in the distance
+# the edges of (-pi, pi] and of the window [0, 2 pi) outside which wrap_phase runs np.mod
 EDGE_PHASES = np.array([np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 0.0, -0.0,
                         np.pi / 2, -np.pi / 2, 1e-300, -1e-300, 5e-324, 1.0, -1.0])
 
@@ -503,12 +527,3 @@ def test_pruned_distance_is_the_offset_loop_on_the_oracle_grids(name, params):
     exact = closed_form(grid.kpoints)
     assert ex.grid_oracle_deviation(grid, closed_form) == _offset_loop_distance(grid.phases, exact).max()
     _assert_same_bits(grid.phases, exact)
-
-
-def test_principal_distance_is_the_circular_distance_bit_for_bit(rng):
-    a, b = np.meshgrid(EDGE_PHASES, EDGE_PHASES)
-    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
-    a, b = wrap_phase(rng.uniform(-np.pi, np.pi, (2, 100_000)))
-    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
-    a, b = np.meshgrid(wrap_phase(np.arange(-64, 65) * (np.pi / 64)), EDGE_PHASES)
-    assert np.array_equal(_principal_distance(a, b), circular_distance(a, b))
