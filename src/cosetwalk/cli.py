@@ -110,6 +110,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problems = validate_tiling(walk.tiling, walk.presentation)
     for problem in problems:
         print(problem)
+    if any(problem.kind == "table" for problem in problems):
+        return EXIT_FAILURE  # the residuals below need every table row
     if not problems:
         print("tiling: ok")
     status = EXIT_FAILURE if problems else EXIT_OK

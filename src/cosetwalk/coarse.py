@@ -49,7 +49,7 @@ def shift_blocks(walk: WalkSpec) -> tuple[tuple[tuple[int, ...], ...], np.ndarra
     for rule in walk.tiling.rules:
         rows = slice(s * rule.target, s * rule.target + s)
         cols = slice(s * rule.coset, s * rule.coset + s)
-        blocks[position[rule.shift], rows, cols] += walk.transitions.matrix(rule.generator)
+        blocks[position[rule.shift], rows, cols] += walk.matrices[rule.generator]
     return tuple(shifts), blocks
 
 
@@ -132,4 +132,4 @@ def retile(walk: WalkSpec, new_rep_words: Sequence[Word]) -> WalkSpec:
         for rule in tiling.rules
     )
     new_tiling = TilingData(tiling.dimension, tiling.index, words, new_rules)
-    return WalkSpec(walk.presentation, new_tiling, walk.transitions)
+    return WalkSpec(walk.presentation, new_tiling, walk.matrices)

@@ -41,7 +41,6 @@ from .linalg import (
 from .spectral import DispersionGrid
 from .walks import (
     IsotropySpec,
-    TransitionFamily,
     WalkSpec,
     isotropy_deviations,
     unitarity_residuals,
@@ -132,7 +131,7 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
             rep_words=((), (A,), (A, A), (A, A, A)),
             rules=tuple(TilingRule(*row) for row in _G1_TABLE),
         ),
-        transitions=TransitionFamily(coin_dim=2, matrices=matrices),
+        matrices=matrices,
     )
 
 
@@ -219,7 +218,7 @@ def g2_walk(variant: str = "I") -> WalkSpec:
             rep_words=((), (A_INV,)),
             rules=tuple(TilingRule(*row) for row in _G2_TABLE),
         ),
-        transitions=TransitionFamily(coin_dim=2, matrices=g2_solution_matrices(variant)),
+        matrices=g2_solution_matrices(variant),
     )
 
 

@@ -63,14 +63,9 @@ class GeneratorLabel:
         return GeneratorLabel(self.base, not self.is_inverse)
 
 
-def generator(base: str) -> GeneratorLabel:
-    """Non-inverse label for a base generator name."""
-    return GeneratorLabel(base, False)
-
-
 def generator_pair(base: str) -> tuple[GeneratorLabel, GeneratorLabel]:
     """(g, g^-1) labels for a base generator name."""
-    g = generator(base)
+    g = GeneratorLabel(base)
     return g, g.inverse()
 
 

@@ -28,7 +28,7 @@ from .groups import (
 )
 from .spectral import DispersionGrid
 from .evolve import LatticeState, probability_map
-from .walks import TransitionFamily, WalkSpec
+from .walks import WalkSpec
 
 
 _CSV_BLOCK_ROWS = 1024
@@ -68,7 +68,7 @@ def dumps_walk(walk: WalkSpec) -> str:
         for rule in (slots[g, j] for j in range(tiling.index) if (g, j) in slots):  # a missing row stays missing
             table.append(_flat([json.dumps(g.name), str(rule.coset), str(rule.target), _flat(map(str, rule.shift))]))
         rows = [_flat(_flat(map(_format_float, (z.real, z.imag))) for z in row)
-                for row in walk.transitions.matrix(g).tolist()]
+                for row in walk.matrices[g].tolist()]
         matrices.append(f"    {json.dumps(g.name)}: {_rows(rows, '    ')}")
     fields = {
         "dimension": str(tiling.dimension),
@@ -182,8 +182,9 @@ def loads_walk(text: str) -> WalkSpec:
     try:
         presentation = GroupPresentation(tuple(generators), relators)
         tiling = TilingData(dimension, index, rep_words, tuple(rules))
-        transitions = TransitionFamily(coin_dim, matrices)
-        return WalkSpec(presentation, tiling, transitions)
+        if coin_dim < 1:
+            raise ValueError("coin dimension must be positive")
+        return WalkSpec(presentation, tiling, matrices)
     except ValueError as exc:
         raise WalkFileError(str(exc)) from exc
 

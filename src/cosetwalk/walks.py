@@ -1,12 +1,14 @@
 """Quantum-walk definitions on tiled Cayley graphs and the unitarity /
 isotropy constraint validators.
 
-The walk operator is sum_g T_g (x) A_g with one s x s transition matrix per
-alphabet letter.  Unitarity requires, for every group element f, that the
-pair sums  sum_{g g'^-1 = f} A_g A_{g'}^dag  and  sum_{g^-1 g' = f}
-A_g^dag A_{g'}  vanish for f != e and equal the identity for f = e; the
-validator buckets all ordered generator pairs by the exact canonical form
-of f and reports the worst operator-norm deviation.
+A walk is one record, ``WalkSpec``: a presentation, a tiling and one s x s
+transition matrix per alphabet letter, with the coin dimension s read off
+the matrices.  The walk operator is sum_g T_g (x) A_g.  Unitarity requires,
+for every group element f, that the pair sums  sum_{g g'^-1 = f} A_g
+A_{g'}^dag  and  sum_{g^-1 g' = f} A_g^dag A_{g'}  vanish for f != e and
+equal the identity for f = e; the validator buckets all ordered generator
+pairs by the exact canonical form of f and reports the worst operator-norm
+deviation.
 
 The buckets of a tiling are cached as index arrays into the stack of all
 pair products, so ``unitarity_residuals`` scores a whole stack of families
@@ -37,49 +39,32 @@ from .linalg import adjoint, operator_norm, unitarity_defect
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionFamily:
-    """One complex s x s transition matrix per alphabet letter."""
-
-    coin_dim: int
-    matrices: Mapping[GeneratorLabel, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.coin_dim < 1:
-            raise ValueError("coin dimension must be positive")
-        frozen: dict[GeneratorLabel, np.ndarray] = {}
-        for g, m in self.matrices.items():
-            m = np.array(m, dtype=complex)
-            if m.shape != (self.coin_dim, self.coin_dim):
-                raise ValueError(
-                    f"matrix for {g.name} has shape {m.shape}, expected "
-                    f"({self.coin_dim}, {self.coin_dim})"
-                )
-            m.setflags(write=False)
-            frozen[g] = m
-        object.__setattr__(self, "matrices", frozen)
-
-    def matrix(self, g: GeneratorLabel) -> np.ndarray:
-        return self.matrices[g]
-
-
-@dataclass(frozen=True, eq=False)
 class WalkSpec:
-    """A walk on a tiled Cayley graph: presentation + tiling + transitions."""
+    """A walk on a tiled Cayley graph: presentation, tiling and one complex
+    s x s transition matrix per alphabet letter; s is read off the matrices."""
 
     presentation: GroupPresentation
     tiling: TilingData
-    transitions: TransitionFamily
+    matrices: Mapping[GeneratorLabel, np.ndarray]
 
     def __post_init__(self) -> None:
         alphabet = set(self.presentation.alphabet)
-        if set(self.transitions.matrices) != alphabet:
+        if set(self.matrices) != alphabet:
             raise ValueError("transition matrices do not cover the alphabet exactly")
         if set(self.tiling.generators) != alphabet:
             raise ValueError("tiling table rows do not cover the alphabet exactly")
+        frozen = {g: np.array(m, dtype=complex) for g, m in self.matrices.items()}
+        first = next(iter(frozen.values()))
+        s = max(first.shape[0], 1) if first.ndim else 1  # s >= 1: an empty first matrix is named too
+        for g, m in frozen.items():
+            if m.shape != (s, s):
+                raise ValueError(f"matrix for {g.name} has shape {m.shape}, expected ({s}, {s})")
+            m.setflags(write=False)
+        object.__setattr__(self, "matrices", frozen)
 
     @property
     def coin_dim(self) -> int:
-        return self.transitions.coin_dim
+        return next(iter(self.matrices.values())).shape[0]
 
     @property
     def block_dim(self) -> int:
@@ -88,8 +73,7 @@ class WalkSpec:
 
     def matrix_stack(self) -> np.ndarray:
         """The (L, s, s) transition matrices in alphabet order."""
-        mats = self.transitions.matrices
-        return np.stack([mats[g] for g in self.presentation.alphabet])
+        return np.stack([self.matrices[g] for g in self.presentation.alphabet])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,5 +249,5 @@ def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:
 
 def isotropy_normalization_residual(walk: WalkSpec) -> float:
     """||sum_g A_g - I||, zero exactly for the normalized solution families."""
-    total = sum(walk.transitions.matrices.values())
+    total = sum(walk.matrices.values())
     return operator_norm(total - np.eye(walk.coin_dim))

@@ -15,7 +15,6 @@ from cosetwalk.groups import GroupElement, evaluate_word, generator_pair, valida
 from cosetwalk.linalg import phase_multiset_distance, wrap_phase
 from cosetwalk.spectral import band_curvature, band_phases, dispersion_grid
 from cosetwalk.walks import (
-    TransitionFamily,
     WalkSpec,
     check_isotropy,
     isotropy_normalization_residual,
@@ -182,11 +181,9 @@ def test_criterion_7_unitarity_isotropy_suite():
         for g in walk.presentation.alphabet:
             for p in range(2):
                 for q in range(2):
-                    mats = {x: m.copy() for x, m in walk.transitions.matrices.items()}
+                    mats = {x: m.copy() for x, m in walk.matrices.items()}
                     mats[g][p, q] += 1e-3
-                    perturbed = WalkSpec(
-                        walk.presentation, walk.tiling, TransitionFamily(2, mats)
-                    )
+                    perturbed = WalkSpec(walk.presentation, walk.tiling, mats)
                     residual, _ = unitarity_residual(perturbed)
                     weakest = min(weakest, residual)
                     assert residual >= 5e-4

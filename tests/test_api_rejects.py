@@ -9,13 +9,13 @@ import pytest
 from cosetwalk import examples as ex
 from cosetwalk.coarse import kspace_operators
 from cosetwalk.evolve import LatticeState, evolve, evolve_fourier, make_delta, make_plane_wave
-from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator, generator_pair, validate_tiling
+from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, TilingRule, generator_pair, validate_tiling
 from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
 from cosetwalk.spectral import _components
 
 A, A_INV = generator_pair("a")
-B, C = generator("b"), generator("c")
+B, C = GeneratorLabel("b"), GeneratorLabel("c")
 
 
 def _line_tiling(*extra_rules, rep_words=((),)):

@@ -18,7 +18,7 @@ from cosetwalk.linalg import (
     unitarity_defect,
 )
 from cosetwalk.spectral import band_phases
-from cosetwalk.walks import TransitionFamily, WalkSpec
+from cosetwalk.walks import WalkSpec
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
@@ -57,7 +57,7 @@ def shift_walk_1d():
         rules=(TilingRule(t, 0, 0, (1,)), TilingRule(t_inv, 0, 0, (-1,))),
     )
     matrices = {t: np.array([[1.0]], dtype=complex), t_inv: np.array([[0.0]], dtype=complex)}
-    return WalkSpec(presentation, tiling, TransitionFamily(1, matrices))
+    return WalkSpec(presentation, tiling, matrices)
 
 
 def test_one_generator_shift_reduces_to_scalar_phase():
@@ -70,7 +70,7 @@ def test_one_generator_shift_reduces_to_scalar_phase():
 
 def test_formal_scalar_check_sums_coset_permutations(g1_flat):
     ones = {g: np.array([[1.0]], dtype=complex) for g in g1_flat.presentation.alphabet}
-    formal = WalkSpec(g1_flat.presentation, g1_flat.tiling, TransitionFamily(1, ones))
+    formal = WalkSpec(g1_flat.presentation, g1_flat.tiling, ones)
     m = kspace_operators(formal, [(0.0, 0.0)])[0]
     # a and b step cosets downward, their inverses upward: 2 per neighbor
     expected = np.zeros((4, 4))
@@ -88,7 +88,7 @@ def test_batched_operators_match_single_builds(g1_massive, rng):
     for k, m in zip(kpoints, batch):
         single = np.zeros((8, 8), dtype=complex)
         for rule in g1_massive.tiling.rules:
-            block = g1_massive.transitions.matrix(rule.generator)
+            block = g1_massive.matrices[rule.generator]
             phase = np.exp(-1j * np.dot(k, rule.shift))
             single[2 * rule.target:2 * rule.target + 2, 2 * rule.coset:2 * rule.coset + 2] += phase * block
         assert_allclose(m, single, atol=1e-15)
@@ -97,15 +97,15 @@ def test_batched_operators_match_single_builds(g1_massive, rng):
 def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
     # independent construction: sigma_z tensor (B_k sigma_z) with
     # B_k = e^{-i kx/2} A_a + e^{-i ky/2} A_b + e^{i ky/2} A_a^-1 + e^{i kx/2} A_b^-1
-    mats = g2_one.transitions
+    mats = g2_one.matrices
     for _ in range(20):
         k = rng.uniform(-np.pi, np.pi, 2)
         kx, ky = ex.g2_wave_numbers(k)
         bk = (
-            np.exp(-1j * kx / 2) * mats.matrix(A)
-            + np.exp(-1j * ky / 2) * mats.matrix(B)
-            + np.exp(1j * ky / 2) * mats.matrix(A_INV)
-            + np.exp(1j * kx / 2) * mats.matrix(B_INV)
+            np.exp(-1j * kx / 2) * mats[A]
+            + np.exp(-1j * ky / 2) * mats[B]
+            + np.exp(1j * ky / 2) * mats[A_INV]
+            + np.exp(1j * kx / 2) * mats[B_INV]
         )
         independent = np.kron(PAULI_Z, bk @ PAULI_Z)
         assert phase_multiset_distance(band_phases(g2_one, k), eigenpairs(independent)[0]) < 1e-12

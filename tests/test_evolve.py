@@ -23,7 +23,7 @@ from cosetwalk.evolve import (
 )
 from cosetwalk.groups import GroupPresentation, TilingData, TilingRule, generator_pair
 from cosetwalk.linalg import eigenpairs, wrap_phase
-from cosetwalk.walks import TransitionFamily, WalkSpec
+from cosetwalk.walks import WalkSpec
 
 from test_coarse import shift_walk_1d
 
@@ -175,7 +175,7 @@ def per_rule_step(walk, state):
     amps = state.amplitudes
     out = np.zeros_like(amps)
     for rule in walk.tiling.rules:
-        block = walk.transitions.matrix(rule.generator)
+        block = walk.matrices[rule.generator]
         shifted = np.roll(amps[..., rule.coset, :], tuple(-s for s in rule.shift), axis=tuple(range(d)))
         out[..., rule.target, :] += shifted @ block.T
     return LatticeState(out)
@@ -212,7 +212,7 @@ def shared_slot_walk(rng):
     matrices = {
         g: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for g in (t, t_inv, u, u_inv)
     }
-    return WalkSpec(GroupPresentation((t, u), ()), tiling, TransitionFamily(2, matrices))
+    return WalkSpec(GroupPresentation((t, u), ()), tiling, matrices)
 
 
 G1_VARIANTS = [
@@ -262,7 +262,7 @@ def test_step_matches_the_per_rule_step_for_any_coin_matrices(which, seed, sizes
         g: rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
         for g in base.presentation.alphabet
     }
-    walk = WalkSpec(base.presentation, base.tiling, TransitionFamily(s, matrices))
+    walk = WalkSpec(base.presentation, base.tiling, matrices)
     state = random_state(rng, walk, sizes)
     stepped = evolve(walk, state, 2).amplitudes
     reference = per_rule_evolve(walk, state, 2).amplitudes
@@ -276,9 +276,9 @@ def test_rules_sharing_a_slot_add_into_one_block(rng):
     shifts, blocks = shift_blocks(walk)
     assert shifts == ((0,), (-1,), (1,))
     assert not blocks[0].any()  # no rule stays put
-    m = walk.transitions.matrix
-    assert_allclose(blocks[2], m(t) + m(u), rtol=0, atol=1e-15)
-    assert_allclose(blocks[1], m(t_inv) + m(u_inv), rtol=0, atol=1e-15)
+    m = walk.matrices
+    assert_allclose(blocks[2], m[t] + m[u], rtol=0, atol=1e-15)
+    assert_allclose(blocks[1], m[t_inv] + m[u_inv], rtol=0, atol=1e-15)
     state = random_state(rng, walk, (7,))
     for steps in (1, 5):
         stepped = evolve(walk, state, steps).amplitudes
@@ -316,7 +316,7 @@ def one_target_walk(rng):
         ),
     )
     matrices = {g: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for g in (t, t_inv)}
-    return WalkSpec(GroupPresentation((t,), ()), tiling, TransitionFamily(2, matrices))
+    return WalkSpec(GroupPresentation((t,), ()), tiling, matrices)
 
 
 def test_a_coset_no_rule_targets_reads_zero_after_every_step(rng):
@@ -339,7 +339,7 @@ def per_rule_kspace_operators(walk, kpoints):
         phase = np.exp(-1j * (kpoints @ np.asarray(rule.shift, dtype=float)))
         rows = slice(s * rule.target, s * rule.target + s)
         cols = slice(s * rule.coset, s * rule.coset + s)
-        out[:, rows, cols] += phase[:, None, None] * walk.transitions.matrix(rule.generator)
+        out[:, rows, cols] += phase[:, None, None] * walk.matrices[rule.generator]
     return out
 
 

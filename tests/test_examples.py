@@ -6,7 +6,7 @@ from cosetwalk import examples as ex
 from cosetwalk.groups import generator_pair, validate_tiling
 from cosetwalk.linalg import PAULI_X, PAULI_Z, adjoint, phase_multiset_distance, wrap_phase
 from cosetwalk.spectral import band_phases, dispersion_grid, grid_axis
-from cosetwalk.walks import TransitionFamily, WalkSpec
+from cosetwalk.walks import WalkSpec
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
@@ -26,10 +26,10 @@ def test_g1_params_validation():
 def test_g1_base_matrix_values():
     walk = ex.g1_walk(ex.G1Params("I", 1.0, 0.0, 1))
     assert_allclose(
-        walk.transitions.matrix(A), (1 + 1j) / 2 * np.diag([1.0, 0.0])
+        walk.matrices[A], (1 + 1j) / 2 * np.diag([1.0, 0.0])
     )
     assert_allclose(
-        walk.transitions.matrix(B_INV), (1 - 1j) / 2 * np.diag([0.0, 1.0])
+        walk.matrices[B_INV], (1 - 1j) / 2 * np.diag([0.0, 1.0])
     )
 
 
@@ -47,7 +47,7 @@ def test_g1_walk_left_multiplies_the_mixing_unitary():
     z = 0.6 * np.eye(2) - 0.8j * PAULI_X  # Z = n I + i sign m sigma_x
     base = ex.g1_base_matrices("I", -1)
     for g in walk.presentation.alphabet:
-        assert_allclose(walk.transitions.matrix(g), z @ base[g])
+        assert_allclose(walk.matrices[g], z @ base[g])
 
 
 def test_builtin_tilings_are_clean():
@@ -59,18 +59,18 @@ def test_g2_variant_two_is_antiunitary_image(g2_one, g2_two):
     y = ex.ANTIUNITARY_Y
     for g in g2_one.presentation.alphabet:
         assert_allclose(
-            g2_two.transitions.matrix(g),
-            y @ g2_one.transitions.matrix(g).T @ adjoint(y),
+            g2_two.matrices[g],
+            y @ g2_one.matrices[g].T @ adjoint(y),
             atol=1e-15,
         )
     # the map lands back on the same four matrices, permuted among letters
-    assert_allclose(g2_two.transitions.matrix(A), g2_one.transitions.matrix(B), atol=1e-15)
-    assert_allclose(g2_two.transitions.matrix(A_INV), g2_one.transitions.matrix(A), atol=1e-15)
+    assert_allclose(g2_two.matrices[A], g2_one.matrices[B], atol=1e-15)
+    assert_allclose(g2_two.matrices[A_INV], g2_one.matrices[A], atol=1e-15)
 
 
 def test_transition_sums_are_identity_for_normalized_solutions(g2_one, g2_two):
     for walk in (g2_one, g2_two, ex.g1_walk(ex.G1Params("I", 1.0, 0.0, -1))):
-        total = sum(walk.transitions.matrix(g) for g in walk.presentation.alphabet)
+        total = sum(walk.matrices[g] for g in walk.presentation.alphabet)
         assert_allclose(total, np.eye(2), atol=1e-15)
 
 
@@ -244,11 +244,9 @@ def test_verification_suite_passes_on_defaults():
 
 
 def test_verification_suite_detects_corrupted_solution(g2_one, monkeypatch):
-    mats = {g: m.copy() for g, m in g2_one.transitions.matrices.items()}
+    mats = {g: m.copy() for g, m in g2_one.matrices.items()}
     mats[A][0, 0] += 0.05
-    corrupted = WalkSpec(
-        g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats)
-    )
+    corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, mats)
     g2_walk = ex.g2_walk
     monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
     items = ex.verification_suite(seed=3, scalar_samples=20)
@@ -258,9 +256,9 @@ def test_verification_suite_detects_corrupted_solution(g2_one, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_verification_suite_fails_an_infinite_g2_entry_without_warning(g2_one, monkeypatch):
-    mats = {g: m.copy() for g, m in g2_one.transitions.matrices.items()}
+    mats = {g: m.copy() for g, m in g2_one.matrices.items()}
     mats[A][0, 0] = np.inf
-    corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats))
+    corrupted = WalkSpec(g2_one.presentation, g2_one.tiling, mats)
     g2_walk = ex.g2_walk
     monkeypatch.setattr(ex, "g2_walk", lambda variant="I": corrupted if variant == "I" else g2_walk(variant))
     items = ex.verification_suite(seed=3, scalar_samples=20)
@@ -286,8 +284,8 @@ def test_verification_suite_detects_a_corrupted_g1_member(corruption, broken, mo
         walk = g1_walk(params)
         if (params.walk_class, params.n, params.sign) != ("II", 0.8, -1):
             return walk
-        mats = {g: corruption(m) for g, m in walk.transitions.matrices.items()}
-        return WalkSpec(walk.presentation, walk.tiling, TransitionFamily(2, mats))
+        mats = {g: corruption(m) for g, m in walk.matrices.items()}
+        return WalkSpec(walk.presentation, walk.tiling, mats)
 
     monkeypatch.setattr(ex, "g1_walk", corrupted)
     items = ex.verification_suite(seed=3, scalar_samples=20)

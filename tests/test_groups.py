@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from cosetwalk import examples as ex
 from cosetwalk.groups import (
     CosetIndexError,
+    GeneratorLabel,
     GroupElement,
     GroupPresentation,
     TilingData,
@@ -13,7 +14,6 @@ from cosetwalk.groups import (
     UnknownGeneratorError,
     apply_word,
     evaluate_word,
-    generator,
     generator_pair,
     right_multiply,
     validate_tiling,
@@ -51,9 +51,7 @@ def test_label_inversion_is_involution():
 
 def test_label_naming_is_validated():
     with pytest.raises(ValueError):
-        generator("")
-    from cosetwalk.groups import GeneratorLabel
-
+        GeneratorLabel("")
     with pytest.raises(ValueError):
         GeneratorLabel("", True)
     assert (A.name, A_INV.name) == ("a", "a^-1")
@@ -100,7 +98,7 @@ def test_right_multiply_errors():
     with pytest.raises(CosetIndexError):
         right_multiply(GroupElement((0, 0), 7), A, G1.tiling)
     with pytest.raises(UnknownGeneratorError):
-        right_multiply(e, generator("zz"), G1.tiling)
+        right_multiply(e, GeneratorLabel("zz"), G1.tiling)
 
 
 # --- evaluate_word --------------------------------------------------------

@@ -15,7 +15,6 @@ from cosetwalk import examples as ex
 from cosetwalk.groups import GroupElement, right_multiply
 from cosetwalk.linalg import adjoint, operator_norm
 from cosetwalk.walks import (
-    TransitionFamily,
     WalkSpec,
     _pair_buckets,
     unitarity_residual,
@@ -36,7 +35,7 @@ def reference_residual(walk):
             f_right = right_multiply(right_multiply(identity, g.inverse(), tiling), gp, tiling)
             left.setdefault(f_left, []).append((g, gp))
             right.setdefault(f_right, []).append((g, gp))
-    mats = walk.transitions.matrices
+    mats = walk.matrices
     report = {}
     for buckets, combine in ((left, lambda a, b: a @ adjoint(b)), (right, lambda a, b: adjoint(a) @ b)):
         for f, pairs in buckets.items():
@@ -68,7 +67,7 @@ def reference_rejection(template, samples, rng, threshold=1e-3, modulus_range=(0
 
 def family_walk(template, matrices):
     size = next(iter(matrices.values())).shape[0]
-    return WalkSpec(template.presentation, template.tiling, TransitionFamily(size, matrices))
+    return WalkSpec(template.presentation, template.tiling, matrices)
 
 
 def bits(x):
@@ -126,7 +125,7 @@ def test_builtin_walk_residuals_equal_the_per_pair_loop(walk):
 def test_non_unitary_stack_member_is_scored():
     template = TEMPLATES["g1"]
     alphabet = template.presentation.alphabet
-    good = np.stack([template.transitions.matrix(g) for g in alphabet])
+    good = np.stack([template.matrices[g] for g in alphabet])
     bad = good.copy()
     bad[0] *= 2.0
     residuals, deviations = unitarity_residuals(template.tiling, alphabet, np.stack([good, bad, good]))

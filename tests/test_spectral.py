@@ -27,7 +27,7 @@ from cosetwalk.spectral import (
     grid_axis,
     group_velocity,
 )
-from cosetwalk.walks import TransitionFamily, WalkSpec
+from cosetwalk.walks import WalkSpec
 
 
 def test_grid_axis_covers_principal_interval():
@@ -89,8 +89,8 @@ def test_grid_rejects_two_norm_defect_the_entrywise_bound_allowed(g1_massive):
     # each fiber operator U into U D, so U^dag U - I becomes D^2 - I: four
     # diagonal entries 2 delta + delta^2 in the 8 x 8 fiber of g1
     delta = 0.95e-8
-    mats = {g: m * np.array([1.0 + delta, 1.0]) for g, m in g1_massive.transitions.matrices.items()}
-    walk = WalkSpec(g1_massive.presentation, g1_massive.tiling, TransitionFamily(2, mats))
+    mats = {g: m * np.array([1.0 + delta, 1.0]) for g, m in g1_massive.matrices.items()}
+    walk = WalkSpec(g1_massive.presentation, g1_massive.tiling, mats)
     axis = grid_axis(5)
     ops = kspace_operators(walk, np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2))
     gram = adjoint(ops) @ ops - np.eye(8)

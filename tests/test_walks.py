@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+
 from cosetwalk import examples as ex
 from cosetwalk.groups import GroupElement, generator_pair
 from cosetwalk.linalg import IDENTITY2, adjoint, operator_norm
 from cosetwalk.walks import (
     IsotropySpec,
-    TransitionFamily,
     WalkSpec,
     check_isotropy,
     isotropy_deviations,
@@ -19,11 +22,7 @@ B, B_INV = generator_pair("b")
 
 def scalar_walk(template, amplitudes):
     matrices = {g: np.array([[z]], dtype=complex) for g, z in amplitudes.items()}
-    return WalkSpec(
-        template.presentation,
-        template.tiling,
-        TransitionFamily(coin_dim=1, matrices=matrices),
-    )
+    return WalkSpec(template.presentation, template.tiling, matrices)
 
 
 ALL_BUILTINS = [
@@ -45,11 +44,11 @@ def test_builtin_walks_are_unitary(walk):
 def test_identity_bucket_checks_against_identity(g2_one):
     # halving one matrix leaves the f != e buckets it sits in alone only if
     # the identity bucket picks up the defect
-    mats = dict(g2_one.transitions.matrices)
+    mats = dict(g2_one.matrices)
     mats = {g: m.copy() for g, m in mats.items()}
     for g in mats:
         mats[g] = 0.5 * mats[g]
-    walk = WalkSpec(g2_one.presentation, g2_one.tiling, TransitionFamily(2, mats))
+    walk = WalkSpec(g2_one.presentation, g2_one.tiling, mats)
     residual, report = unitarity_residual(walk)
     identity = GroupElement.identity(2)
     assert report[identity] == pytest.approx(0.75)
@@ -75,11 +74,9 @@ def test_single_entry_perturbations_are_detected(g1_massive, g2_one):
         for g in walk.presentation.alphabet:
             for p in range(2):
                 for q in range(2):
-                    mats = {k: v.copy() for k, v in walk.transitions.matrices.items()}
+                    mats = {k: v.copy() for k, v in walk.matrices.items()}
                     mats[g][p, q] += 1e-3
-                    perturbed = WalkSpec(
-                        walk.presentation, walk.tiling, TransitionFamily(2, mats)
-                    )
+                    perturbed = WalkSpec(walk.presentation, walk.tiling, mats)
                     residual, _ = unitarity_residual(perturbed)
                     assert residual >= 5e-4
 
@@ -130,7 +127,7 @@ def test_permutation_must_act_on_every_letter(g1_massive):
 def _letter_loop_isotropy(walk, iso):
     """The former per-letter covariance loop."""
     u = iso.coin_unitary
-    mats = walk.transitions.matrices
+    mats = walk.matrices
     worst = 0.0
     for g in walk.presentation.alphabet:
         worst = max(worst, operator_norm(mats[iso.permutation[g]] - u @ mats[g] @ adjoint(u)))
@@ -143,7 +140,7 @@ def test_isotropy_deviations_equal_the_per_family_loop_bitwise(seed, g1_massive)
     gen = np.random.default_rng(seed)
     stack = gen.normal(size=(9, len(alphabet), 2, 2)) + 1j * gen.normal(size=(9, len(alphabet), 2, 2))
     walks = [
-        WalkSpec(g1_massive.presentation, g1_massive.tiling, TransitionFamily(2, dict(zip(alphabet, m))))
+        WalkSpec(g1_massive.presentation, g1_massive.tiling, dict(zip(alphabet, m)))
         for m in stack
     ]
     isos = [ex.swap_isotropy("sigma_x"), ex.g2_isotropy("I"), IsotropySpec({g: g for g in alphabet}, IDENTITY2)]
@@ -196,22 +193,30 @@ def test_normalization_residual_equals_mixing_distance():
 def test_walkspec_rejects_mismatched_alphabets(g1_flat):
     matrices = {A: IDENTITY2, A_INV: IDENTITY2}
     with pytest.raises(ValueError):
-        WalkSpec(
-            g1_flat.presentation,
-            g1_flat.tiling,
-            TransitionFamily(2, matrices),
-        )
+        WalkSpec(g1_flat.presentation, g1_flat.tiling, matrices)
 
 
-def test_transition_family_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        TransitionFamily(2, {A: np.eye(3)})
+@pytest.mark.parametrize("bad, name", [
+    ({B: np.eye(3)}, "b"),
+    ({A: np.ones((2, 3))}, "a"),
+    ({g: np.zeros((0, 0)) for g in (A, A_INV, B, B_INV)}, "a"),
+    ({B_INV: np.ones(2)}, "b^-1"),
+], ids=["one-3x3-among-2x2", "2x3", "0x0-everywhere", "1-d"])
+def test_walk_spec_rejects_bad_matrix_shapes(g1_flat, bad, name):
+    matrices = {**g1_flat.matrices, **bad}
+    with pytest.raises(ValueError, match=rf"^matrix for {re.escape(name)} has shape"):
+        WalkSpec(g1_flat.presentation, g1_flat.tiling, matrices)
 
 
 def test_transition_matrices_are_frozen(g1_flat):
-    m = g1_flat.transitions.matrix(A)
+    m = g1_flat.matrices[A]
     with pytest.raises(ValueError):
         m[0, 0] = 7.0
+    # the walk keeps a copy: a later change to the caller's array does not reach it
+    matrices = {g: m.copy() for g, m in g1_flat.matrices.items()}
+    walk = WalkSpec(g1_flat.presentation, g1_flat.tiling, matrices)
+    matrices[A][0, 0] += 1.0
+    assert_array_equal(walk.matrices[A], g1_flat.matrices[A])
 
 
 def test_unitarity_transfer_to_fiber_operators(g1_massive, g2_one, rng):
@@ -219,9 +224,9 @@ def test_unitarity_transfer_to_fiber_operators(g1_massive, g2_one, rng):
     from cosetwalk.linalg import unitarity_defect
 
     for walk in (g1_massive, g2_one):
-        mats = {k: v.copy() for k, v in walk.transitions.matrices.items()}
+        mats = {k: v.copy() for k, v in walk.matrices.items()}
         mats[A][0, 0] += 2e-4
-        perturbed = WalkSpec(walk.presentation, walk.tiling, TransitionFamily(2, mats))
+        perturbed = WalkSpec(walk.presentation, walk.tiling, mats)
         residual, _ = unitarity_residual(perturbed)
         bound = len(walk.presentation.alphabet) * residual
         for _ in range(10):
