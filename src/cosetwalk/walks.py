@@ -53,10 +53,13 @@ class WalkSpec:
             raise ValueError("transition matrices do not cover the alphabet exactly")
         if set(self.tiling.generators) != alphabet:
             raise ValueError("tiling table rows do not cover the alphabet exactly")
-        frozen = {g: np.array(m, dtype=complex) for g, m in self.matrices.items()}
-        first = next(iter(frozen.values()))
-        s = max(first.shape[0], 1) if first.ndim else 1  # s >= 1: an empty first matrix is named too
-        for g, m in frozen.items():
+        frozen, s = {}, 0
+        for g, m in self.matrices.items():
+            try:
+                m = frozen[g] = np.array(m, dtype=complex)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"matrix for {g.name} is not an array of numbers") from None
+            s = s or (max(m.shape[0], 1) if m.ndim else 1)  # s >= 1: an empty first matrix is named too
             if m.shape != (s, s):
                 raise ValueError(f"matrix for {g.name} has shape {m.shape}, expected ({s}, {s})")
             m.setflags(write=False)
@@ -246,8 +249,3 @@ def check_isotropy(walk: WalkSpec, iso: IsotropySpec) -> float:
     scored as a stack of one by ``isotropy_deviations``."""
     return float(isotropy_deviations(walk.presentation.alphabet, walk.matrix_stack()[None], iso)[0])
 
-
-def isotropy_normalization_residual(walk: WalkSpec) -> float:
-    """||sum_g A_g - I||, zero exactly for the normalized solution families."""
-    total = sum(walk.matrices.values())
-    return operator_norm(total - np.eye(walk.coin_dim))

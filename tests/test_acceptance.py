@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from cosetwalk import examples as ex
-from cosetwalk.coarse import retile
 from cosetwalk.evolve import evolve, evolve_fourier, make_delta
 from cosetwalk.groups import GroupElement, evaluate_word, generator_pair, validate_tiling
 from cosetwalk.linalg import phase_multiset_distance, wrap_phase
@@ -17,9 +16,10 @@ from cosetwalk.spectral import band_curvature, band_phases, dispersion_grid
 from cosetwalk.walks import (
     WalkSpec,
     check_isotropy,
-    isotropy_normalization_residual,
     unitarity_residual,
 )
+
+from walk_helpers import isotropy_normalization_residual, retile
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
@@ -41,12 +41,12 @@ def test_criterion_1_g1_dispersion_reproduction():
         walk = ex.g1_walk(params)
         grid = dispersion_grid(walk, 33)
         nu = ex.g1_effective_weight(params)
-        for k, phases in zip(grid.kpoints, grid.phases):
-            deviation = phase_multiset_distance(
-                phases, ex.g1_closed_form(k, nu, params.walk_class)
-            )
-            worst = max(worst, deviation)
-            assert deviation < 1e-9, (params, k, deviation)
+        deviations = phase_multiset_distance(
+            grid.phases, ex.g1_closed_form(grid.kpoints, nu, params.walk_class)
+        )
+        at = int(np.argmax(deviations))  # NaN counts as the worst row
+        worst = max(worst, deviations[at])
+        assert deviations[at] < 1e-9, (params, grid.kpoints[at], deviations[at])
     # multiplicity two: the closed form repeats each branch twice, and any
     # multiset within 1e-9 of it inherits the pairing; spot-check directly
     # (circularly, since a degenerate pair at +-pi straddles the branch cut)

@@ -13,6 +13,7 @@ from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, Tili
 from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
 from cosetwalk.spectral import _components
+from cosetwalk.walks import WalkSpec
 
 A, A_INV = generator_pair("a")
 B, C = GeneratorLabel("b"), GeneratorLabel("c")
@@ -50,6 +51,9 @@ def _validation_messages(tiling):
     (lambda: make_plane_wave(ex.g2_walk("I"), 5, (1,)), ValueError, "momentum index needs 2 components"),
     (lambda: make_plane_wave(ex.g2_walk("I"), 5, (1, 0, 0)), ValueError, "momentum index needs 2 components"),
     (lambda: loads_walk("[]"), WalkFileError, "document root must be an object, got list"),
+    (lambda: WalkSpec(ex.g2_walk("I").presentation, ex.g2_walk("I").tiling,
+                      {**ex.g2_walk("I").matrices, B: [[1, 2], [3]]}),
+     ValueError, "matrix for b is not an array of numbers"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
@@ -63,7 +67,7 @@ def _validation_messages(tiling):
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
     "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
-    "walk-file-root-not-an-object",
+    "walk-file-root-not-an-object", "walk-spec-ragged-matrix",
     "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
     "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])

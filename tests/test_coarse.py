@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
-from cosetwalk.coarse import RetileError, kspace_operators, retile
+from cosetwalk.coarse import kspace_operators
 from cosetwalk.groups import (
     GroupPresentation,
     TilingData,
@@ -19,6 +19,8 @@ from cosetwalk.linalg import (
 )
 from cosetwalk.spectral import band_phases
 from cosetwalk.walks import WalkSpec
+
+from walk_helpers import RetileError, retile
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import cosetwalk.evolve as evolve_module
 from cosetwalk import examples as ex
-from cosetwalk.coarse import kspace_operators, retile, shift_blocks
+from cosetwalk.coarse import kspace_operators, shift_blocks
 from cosetwalk.evolve import (
     LatticeState,
     TorusSizeError,
@@ -26,6 +26,7 @@ from cosetwalk.linalg import eigenpairs, wrap_phase
 from cosetwalk.walks import WalkSpec
 
 from test_coarse import shift_walk_1d
+from walk_helpers import retile
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")

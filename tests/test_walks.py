@@ -12,9 +12,10 @@ from cosetwalk.walks import (
     WalkSpec,
     check_isotropy,
     isotropy_deviations,
-    isotropy_normalization_residual,
     unitarity_residual,
 )
+
+from walk_helpers import isotropy_normalization_residual
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
