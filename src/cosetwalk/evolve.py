@@ -201,10 +201,9 @@ def evolve(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeState:
     n, per_row = state.sizes[0], sites // state.sizes[0]
     shifts, blocks = shift_blocks(walk)
     low, high = min(h[0] for h in shifts), max(h[0] for h in shifts)
-    position = {h: i for i, h in enumerate(shifts)}
     sources: dict[tuple[int, int], set[int]] = {}  # (shift index, target) -> cosets
     for rule in walk.tiling.rules:
-        sources.setdefault((position[rule.shift], rule.target), set()).add(rule.coset)
+        sources.setdefault((shifts.index(rule.shift), rule.target), set()).add(rule.coset)
     workers = available_workers(l)
     plan = [[] for _ in range(workers)]  # thread t % workers: (row strip of B_h, span of sources, t, shift index)
     for (i, t), cosets in sorted(sources.items()):

@@ -88,7 +88,7 @@ class G1Params:
 
 _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     # (generator, coset, target, shift) with shift = c_target g c_coset^-1
-    # in the (h_x, h_y) basis
+    # in the (h_x, h_y) basis; the inverse rows come from _with_inverse_rows
     (A, 0, 3, (0, 0)),
     (A, 1, 0, (0, 0)),
     (A, 2, 1, (0, 0)),
@@ -97,15 +97,14 @@ _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     (B, 1, 0, (0, 1)),
     (B, 2, 1, (-1, 0)),
     (B, 3, 2, (0, -1)),
-    (A_INV, 0, 1, (0, 0)),
-    (A_INV, 1, 2, (0, 0)),
-    (A_INV, 2, 3, (0, 0)),
-    (A_INV, 3, 0, (0, 0)),
-    (B_INV, 0, 1, (0, -1)),
-    (B_INV, 1, 2, (1, 0)),
-    (B_INV, 2, 3, (0, 1)),
-    (B_INV, 3, 0, (-1, 0)),
 )
+
+
+def _with_inverse_rows(table) -> tuple[TilingRule, ...]:
+    """The rows of ``table``, then the inverse (g^-1, t) -> (j, -h) of each row (g, j) -> (t, h)."""
+    return tuple(TilingRule(*row) for row in table) + tuple(
+        TilingRule(g.inverse(), t, j, tuple(-x for x in h)) for g, j, t, h in table
+    )
 
 
 def g1_base_matrices(walk_class: str, sign: int) -> dict[GeneratorLabel, np.ndarray]:
@@ -129,7 +128,7 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
             dimension=2,
             index=4,
             rep_words=((), (A,), (A, A), (A, A, A)),
-            rules=tuple(TilingRule(*row) for row in _G1_TABLE),
+            rules=_with_inverse_rows(_G1_TABLE),
         ),
         matrices=matrices,
     )
@@ -185,10 +184,6 @@ _G2_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
     (A, 1, 0, (1, 0)),
     (B, 0, 1, (0, 1)),
     (B, 1, 0, (1, -1)),
-    (A_INV, 0, 1, (-1, 0)),
-    (A_INV, 1, 0, (0, 0)),
-    (B_INV, 0, 1, (-1, 1)),
-    (B_INV, 1, 0, (0, -1)),
 )
 
 
@@ -216,7 +211,7 @@ def g2_walk(variant: str = "I") -> WalkSpec:
             dimension=2,
             index=2,
             rep_words=((), (A_INV,)),
-            rules=tuple(TilingRule(*row) for row in _G2_TABLE),
+            rules=_with_inverse_rows(_G2_TABLE),
         ),
         matrices=g2_solution_matrices(variant),
     )

@@ -61,12 +61,11 @@ def _words(words: Iterable[Iterable[GeneratorLabel]]) -> str:
 
 def dumps_walk(walk: WalkSpec) -> str:
     """Walk-spec JSON text for a walk, in canonical field order."""
-    tiling = walk.tiling
-    table, matrices = [], []
-    slots = {(rule.generator, rule.coset): rule for rule in tiling.rules}
-    for g in walk.presentation.alphabet:
-        for rule in (slots[g, j] for j in range(tiling.index) if (g, j) in slots):  # a missing row stays missing
-            table.append(_flat([json.dumps(g.name), str(rule.coset), str(rule.target), _flat(map(str, rule.shift))]))
+    tiling, alphabet = walk.tiling, walk.presentation.alphabet
+    table = [_flat([json.dumps(rule.generator.name), str(rule.coset), str(rule.target), _flat(map(str, rule.shift))])
+             for rule in sorted(tiling.rules, key=lambda rule: (alphabet.index(rule.generator), rule.coset))]
+    matrices = []
+    for g in alphabet:
         rows = [_flat(_flat(map(_format_float, (z.real, z.imag))) for z in row)
                 for row in walk.matrices[g].tolist()]
         matrices.append(f"    {json.dumps(g.name)}: {_rows(rows, '    ')}")

@@ -38,6 +38,18 @@ from .groups import (
 from .linalg import adjoint, operator_norm, unitarity_defect
 
 
+def _square_matrix(m, name: str, s: int = 0) -> np.ndarray:
+    try:
+        m = np.array(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} is not an array of numbers") from None
+    s = s or (max(m.shape[0], 1) if m.ndim else 1)  # s = 0 reads s off m, at least 1 so an empty m is named too
+    if m.shape != (s, s):
+        raise ValueError(f"{name} has shape {m.shape}, expected ({s}, {s})")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
     """A walk on a tiled Cayley graph: presentation, tiling and one complex
@@ -54,15 +66,9 @@ class WalkSpec:
         if set(self.tiling.generators) != alphabet:
             raise ValueError("tiling table rows do not cover the alphabet exactly")
         frozen, s = {}, 0
-        for g, m in self.matrices.items():
-            try:
-                m = frozen[g] = np.array(m, dtype=complex)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"matrix for {g.name} is not an array of numbers") from None
-            s = s or (max(m.shape[0], 1) if m.ndim else 1)  # s >= 1: an empty first matrix is named too
-            if m.shape != (s, s):
-                raise ValueError(f"matrix for {g.name} has shape {m.shape}, expected ({s}, {s})")
-            m.setflags(write=False)
+        for g, m in self.matrices.items():  # the first matrix sets s
+            frozen[g] = _square_matrix(m, f"matrix for {g.name}", s)
+            s = len(frozen[g])
         object.__setattr__(self, "matrices", frozen)
 
     @property
@@ -95,11 +101,10 @@ class IsotropySpec:
                 raise ValueError(
                     f"permutation does not commute with inversion at {g.name}"
                 )
-        u = np.array(self.coin_unitary, dtype=complex)
+        u = _square_matrix(self.coin_unitary, "coin matrix")
         defect = unitarity_defect(u)
         if defect > 1e-10:
             raise ValueError(f"coin matrix is not unitary (defect {defect:.3e})")
-        u.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "coin_unitary", u)
 

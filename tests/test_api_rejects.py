@@ -13,7 +13,7 @@ from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, Tili
 from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
 from cosetwalk.spectral import _components
-from cosetwalk.walks import WalkSpec
+from cosetwalk.walks import IsotropySpec, WalkSpec
 
 A, A_INV = generator_pair("a")
 B, C = GeneratorLabel("b"), GeneratorLabel("c")
@@ -54,6 +54,10 @@ def _validation_messages(tiling):
     (lambda: WalkSpec(ex.g2_walk("I").presentation, ex.g2_walk("I").tiling,
                       {**ex.g2_walk("I").matrices, B: [[1, 2], [3]]}),
      ValueError, "matrix for b is not an array of numbers"),
+    (lambda: IsotropySpec(ex.SWAP_AB, [[1, 0], [0]]), ValueError, "coin matrix is not an array of numbers"),
+    (lambda: IsotropySpec(ex.SWAP_AB, "x"), ValueError, "coin matrix is not an array of numbers"),
+    (lambda: IsotropySpec(ex.SWAP_AB, [1]), ValueError, "coin matrix has shape (1,), expected (1, 1)"),
+    (lambda: IsotropySpec(ex.SWAP_AB, np.eye(3)[:2]), ValueError, "coin matrix has shape (2, 3), expected (2, 2)"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
@@ -67,7 +71,8 @@ def _validation_messages(tiling):
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
     "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
-    "walk-file-root-not-an-object", "walk-spec-ragged-matrix",
+    "walk-file-root-not-an-object", "walk-spec-ragged-matrix", "isotropy-ragged-coin", "isotropy-text-coin",
+    "isotropy-one-axis-coin", "isotropy-non-square-coin",
     "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
     "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])

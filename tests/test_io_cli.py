@@ -30,8 +30,10 @@ from cosetwalk.linalg import EIGENSOLVE_MAX_DIM
 from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import WalkSpec, unitarity_residual
 from test_coarse import shift_walk_1d
+from test_linalg import _not_converging
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"  # show-example exports at default parameters, exact in binary
 
 
 @pytest.mark.parametrize("maker", [
@@ -241,6 +243,13 @@ def test_show_example_g2_text_is_pinned(tmp_path, capsys):
     assert main(["show-example", "g2", "--params", "class=I", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote g2 to {out}\n"
     assert out.read_text(encoding="utf-8") == _G2_CLASS_I
+
+
+@pytest.mark.parametrize("name", ["g1", "g2"])
+def test_show_example_writes_the_golden_export(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert main(["show-example", name, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_document_is_valid_json(g2_one):
@@ -1040,6 +1049,14 @@ def test_cli_bounds_the_fiber_dimension_of_an_eigensolve(argv, code, tmp_path, c
         assert err == ""
     else:
         assert err == f"error: fiber dimension 65 is over the eigensolver's cap of {EIGENSOLVE_MAX_DIM}\n"
+
+
+def test_cli_names_an_eigensolver_failure_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigh", _not_converging)
+    assert main(["dispersion", "--example", "g1", "--grid", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigensolver did not converge: Eigenvalues did not converge\n"
 
 
 def test_cli_help_prints_usage_and_exits_zero(capsys):

@@ -313,6 +313,29 @@ def test_accidental_degeneracy_takes_the_eig_fallback(rng, monkeypatch):
     assert_allclose(phases[1], [-2.0, HERMITIAN_ROTATION - 0.5, HERMITIAN_ROTATION + 0.5], atol=1e-12)
 
 
+def _not_converging(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_an_eigh_failure_is_a_solver_error_after_the_unitarity_check(rng, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _not_converging)
+    with pytest.raises(EigensolveError, match="^eigensolver did not converge: Eigenvalues did not converge$"):
+        eigenpairs(np.stack([_random_unitary(rng, 3), np.eye(3)]))
+    # the whole stack is checked before the failure is blamed on the solver
+    with pytest.raises(NonUnitaryError, match=r"^unitarity defect 3\.000e\+00 exceeds 1\.0e-08 at stack index \(1,\)$"):
+        eigenpairs(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+
+
+def test_an_eig_failure_is_a_solver_error_after_the_unitarity_check(rng, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eig", _not_converging)
+    u = _unitary_with_phases(rng, [HERMITIAN_ROTATION - 0.5, HERMITIAN_ROTATION + 0.5, -2.0])
+    with pytest.raises(EigensolveError, match="^eigensolver did not converge: Eigenvalues did not converge$"):
+        eigenpairs(np.stack([np.eye(3), u]))
+    # a matrix sent to eig is checked before eig runs
+    with pytest.raises(NonUnitaryError, match=r"^unitarity defect 3\.000e\+00 exceeds 1\.0e-08 at stack index \(1,\)$"):
+        eigenpairs(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_haar_random_stacks_are_certified_and_agree_with_eig(rng, n):
     gauss = rng.normal(size=(2048, n, n)) + 1j * rng.normal(size=(2048, n, n))

@@ -5,15 +5,23 @@ cosets, so the tests can check that the spectrum does not depend on the
 choice of transversal.  ``isotropy_normalization_residual`` scores the
 normalization sum_g A_g = I of the built-in solution families.  Neither is
 part of the reduction itself, so they live here and not in the package.
+
+``AFFINE_GROUPS`` writes the built-in groups as integer affine maps of the
+plane (3 x 3 matrices; a word maps to the product of its letters' matrices,
+left to right): G1 is the wallpaper group p4 and G2 is pg.  They check the
+reduction from outside the tiling table: ``affine_table_mismatches`` tests
+each table row against the group itself, and ``reference_walk`` steps a walk
+on group elements without reading the table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
-from cosetwalk.groups import TilingData, TilingRule, Word, evaluate_word
+from cosetwalk.groups import TilingData, TilingRule, Word, evaluate_word, generator_pair
 from cosetwalk.linalg import operator_norm
 from cosetwalk.walks import WalkSpec
 
@@ -69,3 +77,113 @@ def isotropy_normalization_residual(walk: WalkSpec) -> float:
     """||sum_g A_g - I||, zero exactly for the normalized solution families."""
     total = sum(walk.matrices.values())
     return operator_norm(total - np.eye(walk.coin_dim))
+
+
+A, A_INV = generator_pair("a")
+B, B_INV = generator_pair("b")
+
+
+def _affine(linear, translation) -> np.ndarray:
+    return np.array([[*linear[0], translation[0]], [*linear[1], translation[1]], [0, 0, 1]])
+
+
+_TURN, _FLIP = ((0, -1), (1, 0)), ((1, 0), (0, -1))
+
+AFFINE_GROUPS = {
+    # name: (the maps of a and b, the words of the H-basis)
+    # G1 = <a, b | a^4, b^4, (ab)^2> is p4: a turns by 90 degrees about 0 and b about (1, 0)
+    "g1": ({A: _affine(_TURN, (0, 0)), B: _affine(_TURN, (1, -1))}, ((A_INV, B), (B, A_INV))),
+    # G2 = <a, b | a^2 b^-2> is pg: a (x, y) = (x + 1, -y) and b (x, y) = (x + 1, 1 - y)
+    "g2": ({A: _affine(_FLIP, (1, 0)), B: _affine(_FLIP, (1, 1))}, ((A, A), (A_INV, B))),
+}
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    return np.rint(np.linalg.inv(m)).astype(int)  # exact: the maps are integer with determinant +-1
+
+
+@lru_cache(maxsize=None)
+def _letters(name: str) -> dict:
+    maps = AFFINE_GROUPS[name][0]
+    return {**maps, **{g.inverse(): _inverse(m) for g, m in maps.items()}}
+
+
+def affine_word(name: str, w: Word) -> np.ndarray:
+    """The integer affine map M(w) of a word in the group ``name``."""
+    letters = _letters(name)
+    return reduce(np.matmul, (letters[g] for g in w), np.eye(3, dtype=int))
+
+
+def _lattice_basis(name: str) -> np.ndarray:
+    """The translation vectors of the H-basis words, one per column."""
+    maps = [affine_word(name, w) for w in AFFINE_GROUPS[name][1]]
+    assert all(np.array_equal(m[:2, :2], np.eye(2)) for m in maps), "an H-basis word is not a translation"
+    return np.stack([m[:2, 2] for m in maps], axis=1)
+
+
+def _translation(name: str, v: Sequence[int]) -> np.ndarray:
+    """T(v): the map of the element with H-basis coordinates v."""
+    return _affine(np.eye(2, dtype=int), _lattice_basis(name) @ np.asarray(v))
+
+
+def affine_table_mismatches(walk: WalkSpec, name: str) -> list[TilingRule]:
+    """The table rows (g, j) -> (t, h) of ``walk`` that break C_j M(g^-1) = T(-h) C_t
+    in the group ``name``, where C_j is the map of representative word j."""
+    reps = [affine_word(name, w) for w in walk.tiling.rep_words]
+    return [
+        rule for rule in walk.tiling.rules
+        if not np.array_equal(reps[rule.coset] @ affine_word(name, (rule.generator.inverse(),)),
+                              _translation(name, [-h for h in rule.shift]) @ reps[rule.target])
+    ]
+
+
+@lru_cache(maxsize=None)
+def _cayley_ball(name: str, rep_words: tuple[Word, ...], steps: int, size: int):
+    """The group elements within ``steps`` letters of the representatives C_j (the
+    first len(rep_words) of them), each letter's move x -> x g^-1 as an index array
+    over the elements and one sink after them, which takes the moves out of the
+    ball, and each element's torus cell: the index arrays (v mod size..., coset j)
+    of x = T(v) C_j."""
+    letters = _letters(name)
+    elements = [affine_word(name, w) for w in rep_words]
+    index = {m.tobytes(): i for i, m in enumerate(elements)}
+    assert len(index) == len(elements), "two representatives are the same element"
+    frontier = elements
+    for _ in range(steps):
+        reached = []
+        for y in (x @ m for x in frontier for m in letters.values()):
+            if y.tobytes() not in index:
+                index[y.tobytes()] = len(elements) + len(reached)
+                reached.append(y)
+        elements, frontier = elements + reached, reached
+    sink = len(elements)
+    moves = {g: np.array([index.get((x @ letters[g.inverse()]).tobytes(), sink) for x in elements] + [sink])
+             for g in letters}
+    basis, cells = _lattice_basis(name), []
+    inverses = [_inverse(c) for c in elements[: len(rep_words)]]
+    for x in elements:
+        (j, t), = [(j, (x @ c)[:2, 2]) for j, c in enumerate(inverses) if np.array_equal((x @ c)[:2, :2], np.eye(2))]
+        v = np.rint(np.linalg.solve(basis, t)).astype(int)
+        assert np.array_equal(basis @ v, t), "a translation outside H"
+        cells.append((*(v % size), j))
+    assert len(set(cells)) == len(cells), "the torus is too small for the ball"
+    return sink, moves, tuple(np.array(cells).T)
+
+
+def reference_walk(walk: WalkSpec, name: str, coins: np.ndarray, steps: int, size: int) -> np.ndarray:
+    """``steps`` steps of psi'(x g^-1) += A_g psi(x), taken on the elements x of
+    the group ``name`` from the state psi(C_j) = coins[j], as torus amplitudes of
+    shape (size, size, cosets, coin): x = T(v) C_j lands on site v mod size, coset j.
+    The table of ``walk`` is never read."""
+    count, moves, cells = _cayley_ball(name, walk.tiling.rep_words, steps, size)
+    psi = np.zeros((count + 1, walk.coin_dim), dtype=complex)
+    psi[: len(coins)] = coins
+    for _ in range(steps):
+        nxt = np.zeros_like(psi)
+        for g, move in moves.items():
+            np.add.at(nxt, move, psi @ walk.matrices[g].T)
+        psi = nxt
+    assert not psi[-1].any(), "amplitude left the ball"
+    out = np.zeros((size, size, walk.tiling.index, walk.coin_dim), dtype=complex)
+    out[cells] = psi[:-1]
+    return out
