@@ -48,6 +48,7 @@ from .walks import (
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
+_INVERSE = {A: A_INV, B: B_INV}  # the label objects that key every built-in walk's matrices
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -103,7 +104,7 @@ _G1_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
 def _with_inverse_rows(table) -> tuple[TilingRule, ...]:
     """The rows of ``table``, then the inverse (g^-1, t) -> (j, -h) of each row (g, j) -> (t, h)."""
     return tuple(TilingRule(*row) for row in table) + tuple(
-        TilingRule(g.inverse(), t, j, tuple(-x for x in h)) for g, j, t, h in table
+        TilingRule(_INVERSE[g], t, j, tuple(-x for x in h)) for g, j, t, h in table
     )
 
 

@@ -4,9 +4,9 @@ The walk-spec document is JSON with a fixed field order and layout (one table
 row and one matrix row per line, every other list on one line) and floats printed
 with 17 significant digits, so export -> parse -> export is byte-identical.
 The CSV writers take _CSV_BLOCK_ROWS rows at a time: one "%.17g" call formats
-the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0), the
-inverse gathers them beside integer columns from per-axis string tables, and the
-block leaves in one write, so only one block's strings are alive at a time.
+the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0) into
+"x," strings for inner and "x\\n" for last columns, integers are "i," strings, and
+each block's cells, one string each, leave in one write before the next block.
 """
 
 from __future__ import annotations
@@ -200,17 +200,20 @@ def _write_table(stream: IO[str], header: list[str], values: np.ndarray, shape: 
     """Header, then one row per row of the float table ``values``, led by the
     integer columns of the row's index in ``np.ndindex(*shape)``."""
     stream.write(",".join(header) + "\n")
-    labels = [np.array([str(i) for i in range(n)], dtype=object) for n in shape]
+    labels = [np.array([f"{i}," for i in range(n)], dtype=object) for n in shape]
     for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
         block = values[start:start + _CSV_BLOCK_ROWS]
         distinct, inverse = np.unique(block.ravel() + 0.0, return_inverse=True)
-        text = np.array(("%.17g\n" * distinct.size % tuple(distinct.tolist())).split("\n"), dtype=object)
-        cells = np.full((block.shape[0], len(labels) + block.shape[1], 2), ",", dtype=object)
-        cells[:, -1, 1] = "\n"
-        cells[:, len(labels):, 0] = text[inverse].reshape(block.shape)
+        inverse = inverse.reshape(block.shape)
+        text = "%.17g\n" * distinct.size % tuple(distinct.tolist())
+        inner = np.array(text.replace("\n", ",\n").splitlines(), dtype=object)  # "x," cells
+        last = np.array(text.splitlines(keepends=True), dtype=object)  # "x\n" cells
+        cells = np.empty((block.shape[0], len(labels) + block.shape[1]), dtype=object)
+        cells[:, len(labels):-1] = inner[inverse[:, :-1]]
+        cells[:, -1] = last[inverse[:, -1]]
         coords = np.unravel_index(np.arange(start, start + block.shape[0]), shape) if labels else ()
         for axis, (table, coord) in enumerate(zip(labels, coords)):
-            cells[:, axis, 0] = table[coord]
+            cells[:, axis] = table[coord]
         stream.write("".join(cells.ravel().tolist()))
 
 

@@ -55,6 +55,17 @@ def test_builtin_tilings_are_clean():
         assert not validate_tiling(walk.tiling, walk.presentation)
 
 
+@pytest.mark.parametrize("walk", [
+    ex.g1_walk(), ex.g1_walk(ex.G1Params("II", 0.6, 0.8, -1)), ex.g2_walk("I"), ex.g2_walk("II"),
+], ids=["g1", "g1-II-minus", "g2", "g2-II"])
+def test_every_rule_label_is_a_matrix_key(walk):
+    # the very key object, not an equal copy: a lookup by a copy runs the
+    # dataclass __eq__ instead of the identity shortcut
+    keys = list(walk.matrices)
+    for rule in walk.tiling.rules:
+        assert any(rule.generator is key for key in keys), rule
+
+
 def test_g2_variant_two_is_antiunitary_image(g2_one, g2_two):
     y = ex.ANTIUNITARY_Y
     for g in g2_one.presentation.alphabet:

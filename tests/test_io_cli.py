@@ -813,6 +813,36 @@ def test_block_writer_matches_per_row_on_edge_values(rows, columns, seed, pool):
     _assert_same_lines(_csv_text(grid), _per_row_csv(grid))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.one_of(st.tuples(st.integers(1, 2 * _CSV_BLOCK_ROWS + 1)), st.tuples(*[st.integers(1, 12)] * 3)),
+    cosets=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(st.sampled_from(_EDGE_VALUES), min_size=1, max_size=len(_EDGE_VALUES)),
+)
+def test_probability_writer_matches_per_row_on_edge_values(sizes, cosets, seed, pool):
+    # the probability column is the table's only float column, so its cells
+    # come from the last-column strings alone
+    rng = np.random.default_rng(seed)
+    amplitudes = np.empty(sizes + (cosets, 2), dtype=complex)
+    amplitudes.real = rng.choice(np.array(pool), size=amplitudes.shape)
+    amplitudes.imag = rng.choice(np.array(pool), size=amplitudes.shape)
+    state = LatticeState(amplitudes)
+    with np.errstate(over="ignore"):  # |1e300|^2 is inf
+        _assert_same_lines(_probability_text(state), _per_row_probability_csv(state))
+
+
+def test_probability_writer_labels_sites_across_a_block_boundary_mid_axis():
+    sizes, cosets = (33, 17), 2
+    # the first block ends inside a run of the last axis: at site (30, 2)
+    assert 33 * 17 * cosets > _CSV_BLOCK_ROWS and _CSV_BLOCK_ROWS % (17 * cosets) != 0
+    rng = np.random.default_rng(3317)
+    state = LatticeState(rng.standard_normal(sizes + (cosets, 2)) + 1j * rng.standard_normal(sizes + (cosets, 2)))
+    text = _probability_text(state)
+    _assert_same_lines(text, _per_row_probability_csv(state))
+    assert text.split("\n")[1 + _CSV_BLOCK_ROWS].startswith("30,2,0,")
+
+
 @pytest.mark.parametrize("walk, resolution", [
     (ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), 129),
     (ex.g2_walk("II"), 65),
