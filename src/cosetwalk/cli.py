@@ -12,6 +12,10 @@ operator stack (grid^d (l s)^2 entries) and the ``evolve`` state
 (torus^d l s entries) may hold at most MAX_ARRAY_ENTRIES complex entries
 (256 MiB), and a command that eigensolves (``dispersion``, ``evolve --init
 planewave``) takes a fiber dimension l s of at most EIGENSOLVE_MAX_DIM.
+``dispersion`` reads the in-order chunk stream of ``spectral.dispersion_chunks``:
+each certified chunk is scored by the oracle and spooled as CSV while the
+workers solve the next, and ``--out`` is written only after the last chunk is
+certified, so a failing solve leaves it as it was.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import argparse
 import sys
 from typing import Callable
 
+import numpy as np
+
 from . import examples
 from .evolve import TorusSizeError, evolve, make_delta, make_plane_wave
 from .groups import TilingError, validate_tiling
 from .io import WalkFileError, load_walk, save_dispersion_csv, save_probability_csv, save_walk
 from .linalg import EIGENSOLVE_MAX_DIM, EigensolveError, NonUnitaryError
-from .spectral import dispersion_grid
+from .spectral import dispersion_chunks
 from .walks import WalkSpec, check_isotropy, unitarity_residual
 
 ORACLE_TOLERANCE = 1e-9
@@ -139,15 +145,25 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     walk, closed_form = _checked_walk(args)
     if args.oracle and closed_form is None:
         raise UsageError("--oracle requires --example g1 or g2")
-    _bound_entries(
-        args.grid ** walk.tiling.dimension * walk.block_dim**2, f"--grid {args.grid}", walk.block_dim
-    )
-    grid = dispersion_grid(walk, args.grid)
+    points = args.grid ** walk.tiling.dimension
+    _bound_entries(points * walk.block_dim**2, f"--grid {args.grid}", walk.block_dim)
+    deviations: list[float] = []
+
+    def chunks():
+        # each certified chunk is scored and spooled while the pool solves the next
+        for chunk in dispersion_chunks(walk, args.grid):
+            if args.oracle:
+                deviations.append(examples.grid_oracle_deviation(chunk, closed_form))
+            yield chunk
+
     if args.out:
-        save_dispersion_csv(grid, args.out)
-        print(f"wrote {grid.kpoints.shape[0]} rows to {args.out}")
+        save_dispersion_csv(chunks(), args.out)
+        print(f"wrote {points} rows to {args.out}")
+    else:
+        for _ in chunks():
+            pass
     if args.oracle:
-        deviation = examples.grid_oracle_deviation(grid, closed_form)
+        deviation = float(np.max(deviations))  # NaN-propagating, like the oracle itself
         print(f"oracle deviation: {deviation:.3e}")
         if not deviation < ORACLE_TOLERANCE:
             print(f"oracle: FAIL (tolerance {ORACLE_TOLERANCE:.1e})")

@@ -8,10 +8,13 @@ the B_h; the fiber operator at wave-vector k is U(k) = sum_h e^{-i k.h} B_h.
 Wave-vector components are the pairings of k with the tiling's H-basis
 vectors, and the principal domain is (-pi, pi] per component.
 
-``map_kchunks`` is the one loop over many wave-vectors: U(k) in chunks of
-KSPACE_CHUNK points, one thread per available core (numpy's linalg gufuncs
-and ``matmul`` release the GIL).  Each matrix is handled alone, so the result
-is the same bits as one call, with peak memory of one chunk per worker.
+``map_kchunks`` is the one loop over many wave-vectors: an in-order stream
+of per-chunk results, U(k) in chunks of KSPACE_CHUNK points on one thread per
+available core (numpy's linalg gufuncs and ``matmul`` release the GIL).  The
+calling thread gets each chunk's result while the pool solves later chunks,
+so it can write or score one chunk during the solve of the next.  Each matrix
+is handled alone, so the concatenated stream is the same bits as one call,
+with peak memory of one chunk per worker.
 ``available_workers`` (the available cores, at most one per task) sets the
 thread count here and for the target cosets of ``evolve.evolve``.
 """
@@ -19,7 +22,7 @@ thread count here and for the target cosets of ``evolve.evolve``.
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,10 +69,11 @@ def available_workers(tasks: int) -> int:
     return min(cores, tasks)
 
 
-def map_kchunks(walk: WalkSpec, kpoints: np.ndarray, solve: Callable) -> np.ndarray:
-    """Concatenated ``solve(start, U)`` over the chunks: U holds the fiber
-    operators of kpoints[start:start + KSPACE_CHUNK].  Chunks are mapped in
-    order, so the earliest failing chunk raises."""
+def map_kchunks(walk: WalkSpec, kpoints: np.ndarray, solve: Callable) -> Iterator[np.ndarray]:
+    """Yield ``solve(start, U)`` for each chunk, in order: U holds the fiber
+    operators of kpoints[start:start + KSPACE_CHUNK].  The earliest failing
+    chunk raises, after the chunks before it were yielded.  Closing the
+    stream early cancels the chunks not started and joins the pool."""
     starts = range(0, len(kpoints), KSPACE_CHUNK)
 
     def run(start: int) -> np.ndarray:
@@ -77,12 +81,12 @@ def map_kchunks(walk: WalkSpec, kpoints: np.ndarray, solve: Callable) -> np.ndar
 
     workers = available_workers(len(starts))
     if workers == 1:
-        return np.concatenate([run(start) for start in starts])
+        yield from map(run, starts)
+        return
     # imported here: concurrent.futures costs every command 9 ms and 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
 
     # the workers share the walk, kpoints and what ``solve`` reads, read-only;
     # kspace_operators reads only plain fields of the walk, no cached ones
     with ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(run, starts)))
-
+        yield from pool.map(run, starts)

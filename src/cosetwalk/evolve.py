@@ -278,9 +278,9 @@ def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeSt
     momenta = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
     kpoints = np.stack([wrap_phase(2.0 * np.pi * m.ravel() / size) for m in momenta], axis=1)
     flat = hat.reshape(-1, walk.block_dim)
-    evolved = map_kchunks(walk, kpoints, lambda start, ops: np.einsum(
+    evolved = np.concatenate(list(map_kchunks(walk, kpoints, lambda start, ops: np.einsum(
         "kij,kj->ki", np.linalg.matrix_power(ops, steps), flat[start:start + len(ops)]
-    ))
+    ))))
     hat_out = evolved.reshape(state.sizes + (walk.tiling.index, walk.coin_dim))
     out = np.fft.fftn(hat_out, axes=site_axes) / volume
     return LatticeState(out)

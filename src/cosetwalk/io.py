@@ -5,14 +5,20 @@ row and one matrix row per line, every other list on one line) and floats printe
 with 17 significant digits, so export -> parse -> export is byte-identical.
 The CSV writers take _CSV_BLOCK_ROWS rows at a time: one "%.17g" call formats
 the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0) into
-"x," strings for inner and "x\\n" for last columns, integers are "i," strings, and
-each block's cells, one string each, leave in one write before the next block.
+"x\\n" strings for the last column and, when there are more float columns, "x,"
+strings for the others; integers are "i," strings, and each block's cells, one
+string each, leave in one write before the next block.  The dispersion writer
+also takes the in-order chunk stream of ``spectral.dispersion_chunks`` and
+writes each chunk as it arrives; ``save_dispersion_csv`` spools the rows to an
+anonymous temporary file and writes its path only after the last row.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import shutil
+import tempfile
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -199,17 +205,19 @@ def load_walk(path: str | Path) -> WalkSpec:
 def _write_table(stream: IO[str], header: list[str], values: np.ndarray, shape: tuple[int, ...] = ()) -> None:
     """Header, then one row per row of the float table ``values``, led by the
     integer columns of the row's index in ``np.ndindex(*shape)``."""
-    stream.write(",".join(header) + "\n")
+    if header:  # a later chunk of a table continues without one
+        stream.write(",".join(header) + "\n")
     labels = [np.array([f"{i}," for i in range(n)], dtype=object) for n in shape]
     for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
         block = values[start:start + _CSV_BLOCK_ROWS]
         distinct, inverse = np.unique(block.ravel() + 0.0, return_inverse=True)
         inverse = inverse.reshape(block.shape)
         text = "%.17g\n" * distinct.size % tuple(distinct.tolist())
-        inner = np.array(text.replace("\n", ",\n").splitlines(), dtype=object)  # "x," cells
         last = np.array(text.splitlines(keepends=True), dtype=object)  # "x\n" cells
         cells = np.empty((block.shape[0], len(labels) + block.shape[1]), dtype=object)
-        cells[:, len(labels):-1] = inner[inverse[:, :-1]]
+        if block.shape[1] > 1:
+            inner = np.array(text.replace("\n", ",\n").splitlines(), dtype=object)  # "x," cells
+            cells[:, len(labels):-1] = inner[inverse[:, :-1]]
         cells[:, -1] = last[inverse[:, -1]]
         coords = np.unravel_index(np.arange(start, start + block.shape[0]), shape) if labels else ()
         for axis, (table, coord) in enumerate(zip(labels, coords)):
@@ -217,17 +225,26 @@ def _write_table(stream: IO[str], header: list[str], values: np.ndarray, shape: 
         stream.write("".join(cells.ravel().tolist()))
 
 
-def write_dispersion_csv(grid: DispersionGrid, stream: IO[str]) -> None:
+def write_dispersion_csv(grid: DispersionGrid | Iterable[DispersionGrid], stream: IO[str]) -> None:
     """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point,
-    phases ascending.  Fields are written as ``_format_float`` writes them."""
-    d = grid.kpoints.shape[1]
-    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(grid.band_count)]
-    _write_table(stream, header, np.hstack([grid.kpoints, grid.phases]))
+    phases ascending.  ``grid`` is a whole grid or its in-order row chunks
+    (``spectral.dispersion_chunks``), each written as it arrives.  Fields
+    are written as ``_format_float`` writes them."""
+    for index, chunk in enumerate([grid] if isinstance(grid, DispersionGrid) else grid):
+        d = chunk.kpoints.shape[1]
+        header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(chunk.band_count)]
+        _write_table(stream, [] if index else header, np.hstack([chunk.kpoints, chunk.phases]))
 
 
-def save_dispersion_csv(grid: DispersionGrid, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        write_dispersion_csv(grid, stream)
+def save_dispersion_csv(grid: DispersionGrid | Iterable[DispersionGrid], path: str | Path) -> None:
+    """``write_dispersion_csv`` into an anonymous temporary file, copied to
+    ``path`` after the last row: a chunk stream that raises leaves ``path``
+    as it was, and an unwritable ``path`` fails only after the solve."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        write_dispersion_csv(grid, spool)
+        spool.seek(0)
+        with open(path, "wb") as stream:
+            shutil.copyfileobj(spool.buffer, stream)
 
 
 def write_probability_csv(state: LatticeState, stream: IO[str]) -> None:

@@ -5,7 +5,9 @@ Every k-space solve stacks the fiber operators of its wave-vectors and
 hands them to ``linalg.eigenpairs``, so grids and stencils share one
 unitarity check, eigensolve, sort and residual certificate.  A stencil
 (5-13 points) is one call; a grid keeps only the phases of each
-``coarse.map_kchunks`` chunk.
+``coarse.map_kchunks`` chunk.  ``dispersion_chunks`` is the grid as that
+in-order stream of certified row chunks, so a consumer can write or score
+each chunk while later ones are solved; ``dispersion_grid`` joins it.
 
 Bands are indexed by sorted phase at each k independently; crossing points
 show up as kinks of the sorted bands and are detected (never silently
@@ -15,6 +17,7 @@ differentiated across).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +44,8 @@ class DispersionGrid:
 
     ``kpoints`` has shape (N^d, d) in row-major axis order and ``phases``
     shape (N^d, s*l) with each row ascending in (-pi, pi + 1e-8], a phase
-    within 1e-8 of -pi counted as +pi (``eigenpairs``).
+    within 1e-8 of -pi counted as +pi (``eigenpairs``).  A chunk of
+    ``dispersion_chunks`` holds a run of consecutive rows of one.
     """
 
     kpoints: np.ndarray
@@ -58,11 +62,13 @@ def grid_axis(resolution: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * steps / resolution
 
 
-def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
-    """Eigenphase sweep on the N^d wave-vector lattice (N = resolution >= 2).
+def dispersion_chunks(walk: WalkSpec, resolution: int) -> Iterator[DispersionGrid]:
+    """Eigenphase sweep on the N^d wave-vector lattice (N = resolution >= 2)
+    as the in-order stream of ``coarse.map_kchunks``: each item holds the
+    next KSPACE_CHUNK grid rows (fewer in the last), already certified.
 
     An error names the first failing k-point of the earliest failing chunk,
-    indexed over the whole grid.
+    indexed over the whole grid; the chunks before it were yielded.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -70,8 +76,15 @@ def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
     axis = grid_axis(resolution)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     kpoints = np.stack([m.ravel() for m in mesh], axis=1)
-    phases = map_kchunks(walk, kpoints, lambda start, ops: eigenpairs(ops, _offset=start)[0])
-    return DispersionGrid(kpoints, phases)
+    yield from map_kchunks(walk, kpoints, lambda start, ops: DispersionGrid(
+        kpoints[start:start + len(ops)], eigenpairs(ops, _offset=start)[0]
+    ))
+
+
+def dispersion_grid(walk: WalkSpec, resolution: int) -> DispersionGrid:
+    """The whole grid of ``dispersion_chunks``, its chunks joined in order."""
+    chunks = list(dispersion_chunks(walk, resolution))
+    return DispersionGrid(np.concatenate([c.kpoints for c in chunks]), np.concatenate([c.phases for c in chunks]))
 
 
 def _components(k, dimension: int) -> np.ndarray:

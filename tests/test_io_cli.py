@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from cosetwalk.spectral import DispersionGrid, dispersion_grid
 from cosetwalk.walks import WalkSpec, unitarity_residual
 from test_coarse import shift_walk_1d
 from test_linalg import _not_converging
+from test_spectral import _corrupt_grid_points
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"  # show-example exports at default parameters, exact in binary
@@ -456,13 +458,82 @@ def test_cli_dispersion_grid_usage_error(capsys):
     assert "grid" in capsys.readouterr().err
 
 
-def test_cli_dispersion_deterministic_output(tmp_path):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    args = ["dispersion", "--example", "g2", "--grid", "7", "--out"]
-    assert main(args + [str(first)]) == 0
-    assert main(args + [str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+_MASSIVE = "n=0.6,m=0.8,class=II"
+
+
+def test_cli_dispersion_deterministic_output(tmp_path, capsys, cores, pools):
+    # the command streams the chunks; its bytes and oracle line are those of the
+    # whole grid: 45^2 = 2025 grid points are one k-space chunk, 46^2 two, 91^2 five
+    walk, closed_form = ex.builtin_walk("g1", _MASSIVE)
+    for resolution in (45, 46, 91):
+        grid = dispersion_grid(walk, resolution)
+        stream = io.StringIO()
+        write_dispersion_csv(grid, stream)
+        deviation = ex.grid_oracle_deviation(grid, closed_form)
+        for workers in (1, 2):
+            cores(workers)
+            pools.clear()
+            first = tmp_path / f"a-{resolution}-{workers}.csv"
+            second = tmp_path / f"b-{resolution}-{workers}.csv"
+            args = ["dispersion", "--example", "g1", "--params", _MASSIVE, "--grid", str(resolution), "--oracle", "--out"]
+            assert main(args + [str(first)]) == 0
+            printed = capsys.readouterr().out
+            assert main(args + [str(second)]) == 0
+            assert capsys.readouterr().out == printed.replace(str(first), str(second))
+            assert pools == ([] if workers == 1 or resolution == 45 else [2, 2])
+            assert first.read_bytes() == second.read_bytes() == stream.getvalue().encode()
+            assert printed == f"wrote {resolution**2} rows to {first}\noracle deviation: {deviation:.3e}\noracle: ok\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("present", [False, True], ids=["absent", "present"])
+def test_cli_dispersion_failing_later_chunk_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, cores, workers, present):
+    cores(workers)
+    _corrupt_grid_points(monkeypatch, 91, (3000,))  # in the second chunk
+    out = tmp_path / "rows.csv"
+    if present:
+        out.write_bytes(b"k_1,k_2\nkept\n")
+    threads = threading.active_count()
+    argv = ["dispersion", "--example", "g1", "--params", _MASSIVE, "--grid", "91", "--oracle", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("(3000,)")
+    if present:
+        assert out.read_bytes() == b"k_1,k_2\nkept\n"
+    else:
+        assert not out.exists()
+    assert threading.active_count() == threads  # the pool shut down
+
+
+def test_cli_dispersion_unwritable_out_fails_after_the_solve(tmp_path, monkeypatch, capsys):
+    solved = []
+    solve = cli.dispersion_chunks
+
+    def recording(walk, resolution):
+        for chunk in solve(walk, resolution):
+            solved.append(len(chunk.kpoints))
+            yield chunk
+
+    monkeypatch.setattr(cli, "dispersion_chunks", recording)
+    out = tmp_path / "missing" / "rows.csv"
+    assert main(["dispersion", "--example", "g2", "--grid", "46", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert solved == [2048, 68]
+    assert not out.parent.exists()
+
+
+def test_cli_dispersion_writes_to_dev_stdout():
+    argv = [sys.executable, "-m", "cosetwalk.cli", "dispersion", "--example", "g2", "--grid", "5", "--out", "/dev/stdout"]
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(argv, capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    stream = io.StringIO()
+    write_dispersion_csv(dispersion_grid(ex.g2_walk("I"), 5), stream)
+    assert done.stdout == stream.getvalue() + "wrote 25 rows to /dev/stdout\n"
+    assert done.stderr == ""
 
 
 def test_cli_evolve_reports_norm_drift(tmp_path, capsys):
@@ -710,7 +781,7 @@ def test_cli_walk_file_generator_names_are_base_and_base_inverse_once(renames, g
 def test_cli_dispersion_rejects_an_invalid_tiling_before_solving(tmp_path, monkeypatch, capsys):
     # the tiling is checked before any operator is built, so the missing row
     # is named instead of the unitarity defect it causes
-    monkeypatch.setattr(cli, "dispersion_grid", lambda *args: pytest.fail("solved a broken tiling"))
+    monkeypatch.setattr(cli, "dispersion_chunks", lambda *args: pytest.fail("solved a broken tiling"))
     out = tmp_path / "rows.csv"
     argv = ["dispersion", str(FIXTURES / "g1_row_dropped.json"), "--grid", "5", "--out", str(out)]
     assert main(argv) == 1
@@ -720,8 +791,8 @@ def test_cli_dispersion_rejects_an_invalid_tiling_before_solving(tmp_path, monke
     assert not out.exists()
 
 @pytest.mark.parametrize("argv, builder", [
-    (["dispersion", "--example", "g1", "--grid", "100000"], "dispersion_grid"),
-    (["dispersion", "--example", "g2", "--grid", "2049"], "dispersion_grid"),
+    (["dispersion", "--example", "g1", "--grid", "100000"], "dispersion_chunks"),
+    (["dispersion", "--example", "g2", "--grid", "2049"], "dispersion_chunks"),
     (["evolve", "--example", "g1", "--torus", "100000"], "make_delta"),
     (["evolve", "--example", "g2", "--torus", "2049", "--init", "planewave"], "make_plane_wave"),
 ])

@@ -1,4 +1,5 @@
 import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cosetwalk.spectral import (
     ExtremumError,
     band_curvature,
     band_phases,
+    dispersion_chunks,
     dispersion_grid,
     grid_axis,
     group_velocity,
@@ -318,6 +320,43 @@ def test_chunked_grid_errors_name_the_global_index(g1_massive, monkeypatch, core
     _corrupt_grid_points(monkeypatch, 91, indices)
     with pytest.raises(NonUnitaryError, match=rf"stack index \({named},\)$"):
         dispersion_grid(g1_massive, 91)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_stream_yields_the_grid_rows_in_order(g1_massive, cores, workers):
+    cores(workers)
+    grid = dispersion_grid(g1_massive, 91)
+    chunks = list(dispersion_chunks(g1_massive, 91))
+    assert [len(c.kpoints) for c in chunks] == [2048] * 4 + [8281 - 4 * 2048]
+    for index, chunk in enumerate(chunks):
+        rows = slice(index * 2048, (index + 1) * 2048)
+        assert np.array_equal(chunk.kpoints, grid.kpoints[rows])
+        assert np.array_equal(chunk.phases, grid.phases[rows])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_stream_yields_the_chunks_before_a_failing_one(g1_massive, monkeypatch, cores, workers):
+    cores(workers)
+    _corrupt_grid_points(monkeypatch, 91, (5000,))
+    threads = threading.active_count()
+    seen = []
+    with pytest.raises(NonUnitaryError, match=r"stack index \(5000,\)$"):
+        for chunk in dispersion_chunks(g1_massive, 91):
+            seen.append(len(chunk.kpoints))
+    assert seen == [2048, 2048]
+    assert threading.active_count() == threads  # the pool shut down
+
+
+def test_closing_the_chunk_stream_early_joins_its_pool(g1_massive, cores, pools):
+    cores(2)
+    first = dispersion_grid(g1_massive, 91).phases[:2048]
+    threads = threading.active_count()
+    chunks = dispersion_chunks(g1_massive, 91)
+    assert np.array_equal(next(chunks).phases, first)
+    assert threading.active_count() > threads
+    chunks.close()
+    assert threading.active_count() == threads
+    assert pools == [2, 2]
 
 
 def test_one_chunk_or_one_core_starts_no_pool(g1_massive, monkeypatch, cores):
