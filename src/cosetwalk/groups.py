@@ -6,7 +6,8 @@ the tiling author's basis), the index selects one of the coset
 representatives c_0 = e, c_1, ..., c_{l-1}.  The combinatorial tiling table
 supplied with each walk is the single source of truth for the word problem;
 ``validate_tiling`` cross-checks it against the group presentation.  All
-arithmetic in this module is over exact integers.
+arithmetic in this module is over exact integers.  ``TilingError`` ("table has
+no row for (g, j=c)") is its one error: ``TilingData.row`` is one lookup.
 """
 
 from __future__ import annotations
@@ -16,19 +17,7 @@ from functools import cached_property
 from typing import Mapping
 
 
-class GroupArithmeticError(Exception):
-    """Base class for errors raised by exact group arithmetic."""
-
-
-class UnknownGeneratorError(GroupArithmeticError, KeyError):
-    """A generator label is not part of the tiling's alphabet."""
-
-
-class CosetIndexError(GroupArithmeticError, IndexError):
-    """A coset index is outside 0..l-1."""
-
-
-class TilingError(GroupArithmeticError):
+class TilingError(Exception):
     """The tiling data cannot support the requested operation."""
 
 
@@ -165,19 +154,12 @@ class TilingData:
         return {(r.generator, r.coset): (r.target, r.shift) for r in self.rules}
 
     @cached_property
-    def generators(self) -> frozenset[GeneratorLabel]:
-        return frozenset(r.generator for r in self.rules)
-
-    @cached_property
     def max_shift(self) -> int:
         """Largest sup-norm displacement in the table (0 for a trivial table)."""
         return max((max(map(abs, r.shift), default=0) for r in self.rules), default=0)
 
     def row(self, g: GeneratorLabel, coset: int) -> tuple[int, tuple[int, ...]]:
-        if not 0 <= coset < self.index:
-            raise CosetIndexError(f"coset {coset} out of range 0..{self.index - 1}")
-        if g not in self.generators:
-            raise UnknownGeneratorError(g.name)
+        """(target, shift) of the table row (g, j=coset)."""
         try:
             return self._rows[(g, coset)]
         except KeyError:
@@ -254,21 +236,18 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> tupl
     problems: list[ValidationProblem] = []
     alphabet = presentation.alphabet
 
-    complete = True
     for g in alphabet:
         for j in range(tiling.index):
             if (g, j) not in tiling._rows:
                 problems.append(
                     ValidationProblem("table", f"missing row for ({g.name}, j={j})")
                 )
-                complete = False
     for g in dict.fromkeys(rule.generator for rule in tiling.rules):  # in table order
         if g not in alphabet:
             problems.append(
                 ValidationProblem("table", f"table row for unknown generator {g.name}")
             )
-            complete = False
-    if not complete:
+    if problems:
         return tuple(problems)
 
     for g in alphabet:
@@ -306,7 +285,7 @@ def validate_tiling(tiling: TilingData, presentation: GroupPresentation) -> tupl
     for j, w in enumerate(tiling.rep_words):
         try:
             value = evaluate_word(w, tiling)
-        except GroupArithmeticError as exc:
+        except TilingError as exc:
             problems.append(
                 ValidationProblem("representative", f"word {_word_str(w)} failed: {exc}")
             )

@@ -232,7 +232,7 @@ def write_dispersion_csv(grid: DispersionGrid | Iterable[DispersionGrid], stream
     are written as ``_format_float`` writes them."""
     for index, chunk in enumerate([grid] if isinstance(grid, DispersionGrid) else grid):
         d = chunk.kpoints.shape[1]
-        header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(chunk.band_count)]
+        header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(chunk.phases.shape[1])]
         _write_table(stream, [] if index else header, np.hstack([chunk.kpoints, chunk.phases]))
 
 

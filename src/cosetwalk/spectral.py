@@ -51,10 +51,6 @@ class DispersionGrid:
     kpoints: np.ndarray
     phases: np.ndarray
 
-    @property
-    def band_count(self) -> int:
-        return self.phases.shape[1]
-
 
 def grid_axis(resolution: int) -> np.ndarray:
     """N uniformly spaced values in (-pi, pi], right endpoint included."""

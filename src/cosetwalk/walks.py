@@ -63,7 +63,7 @@ class WalkSpec:
         alphabet = set(self.presentation.alphabet)
         if set(self.matrices) != alphabet:
             raise ValueError("transition matrices do not cover the alphabet exactly")
-        if set(self.tiling.generators) != alphabet:
+        if {r.generator for r in self.tiling.rules} != alphabet:
             raise ValueError("tiling table rows do not cover the alphabet exactly")
         frozen, s = {}, 0
         for g, m in self.matrices.items():  # the first matrix sets s

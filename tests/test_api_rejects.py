@@ -65,7 +65,7 @@ def _validation_messages(tiling):
     (lambda: _validation_messages(_line_tiling(TilingRule(C.inverse(), 0, 0, (0,)), TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c^-1", "[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(rep_words=((), (C,)))),
-     None, ["[representative] word c failed: 'c^-1'"]),
+     None, ["[representative] word c failed: table has no row for (c^-1, j=0)"]),
 ], ids=[
     "presentation-duplicate-names", "presentation-inverse-in-s-plus", "presentation-unknown-relator-letter",
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",

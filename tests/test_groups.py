@@ -1,17 +1,17 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cosetwalk import examples as ex
 from cosetwalk.groups import (
-    CosetIndexError,
     GeneratorLabel,
     GroupElement,
     GroupPresentation,
     TilingData,
+    TilingError,
     TilingRule,
-    UnknownGeneratorError,
     apply_word,
     evaluate_word,
     generator_pair,
@@ -93,12 +93,32 @@ def test_g1_word_then_inverse_word_cancels(vx, vy, j, letters):
     assert apply_word(apply_word(e, w, G1.tiling), _inverse(w), G1.tiling) == e
 
 
-def test_right_multiply_errors():
-    e = GroupElement.identity(2)
-    with pytest.raises(CosetIndexError):
-        right_multiply(GroupElement((0, 0), 7), A, G1.tiling)
-    with pytest.raises(UnknownGeneratorError):
-        right_multiply(e, GeneratorLabel("zz"), G1.tiling)
+def _without_row(tiling, g, j):
+    rules = tuple(r for r in tiling.rules if (r.generator, r.coset) != (g, j))
+    return TilingData(tiling.dimension, tiling.index, tiling.rep_words, rules)
+
+
+@pytest.mark.parametrize("tiling, g, j", [
+    (_without_row(G1.tiling, B_INV, 3), B_INV, 3),
+    (G1.tiling, GeneratorLabel("zz"), 0),
+    (G1.tiling, A, 7),
+    (G1.tiling, A, -1),
+], ids=["dropped-row", "unknown-letter", "coset-7", "coset-minus-1"])
+def test_failed_table_query_is_one_tiling_error(tiling, g, j):
+    """Row (g, j) is missing, whatever the reason; right multiplication by
+    g^-1 reads it, so every query reaching it raises the same TilingError."""
+    message = re.escape(f"table has no row for ({g.name}, j={j})") + "$"
+    start = GroupElement((0, 0), j)
+    queries = [
+        lambda: tiling.row(g, j),
+        lambda: right_multiply(start, g.inverse(), tiling),
+        lambda: apply_word(start, (g.inverse(),), tiling),
+    ]
+    if 0 <= j < tiling.index:  # evaluate_word starts at coset 0; reach j by its representative
+        queries.append(lambda: evaluate_word(tiling.rep_words[j] + (g.inverse(),), tiling))
+    for query in queries:
+        with pytest.raises(TilingError, match=message):
+            query()
 
 
 # --- evaluate_word --------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cosetwalk
 from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
@@ -28,7 +31,7 @@ from cosetwalk.io import (
     write_probability_csv,
 )
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM
-from cosetwalk.spectral import DispersionGrid, dispersion_grid
+from cosetwalk.spectral import BandCrossingError, DispersionGrid, ExtremumError, dispersion_grid
 from cosetwalk.walks import WalkSpec, unitarity_residual
 from test_coarse import shift_walk_1d
 from test_linalg import _not_converging
@@ -312,7 +315,7 @@ def test_dispersion_csv_format(tmp_path, g2_one):
 def _per_row_csv(grid):
     """The row-at-a-time writer the block writer replaced."""
     d = grid.kpoints.shape[1]
-    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(grid.band_count)]
+    header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(grid.phases.shape[1])]
     lines = [",".join(header) + "\n"]
     for k, phases in zip(grid.kpoints, grid.phases):
         lines.append(",".join(format(float(x) + 0.0, ".17g") for x in (*k, *phases)) + "\n")
@@ -1158,6 +1161,31 @@ def test_cli_names_an_eigensolver_failure_in_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: eigensolver did not converge: Eigenvalues did not converge\n"
+
+
+def _package_errors():
+    """Every Exception subclass defined in a cosetwalk module, found by walking
+    the module dicts, so a class added later is covered too."""
+    errors = []
+    for info in pkgutil.iter_modules(cosetwalk.__path__):
+        module = importlib.import_module(f"cosetwalk.{info.name}")
+        errors += [value for value in vars(module).values() if isinstance(value, type)
+                   and issubclass(value, Exception) and value.__module__ == module.__name__]
+    # only group_velocity and band_curvature raise these, and no command calls them
+    return [error for error in errors if error not in (BandCrossingError, ExtremumError)]
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda error: f"{error.__module__}.{error.__name__}")
+def test_cli_maps_every_package_error_to_one_line(error, monkeypatch, capsys):
+    def failing(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_suite", failing)
+    assert main(["suite"]) in (1, 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(": boom")
 
 
 def test_cli_help_prints_usage_and_exits_zero(capsys):
