@@ -54,8 +54,9 @@ class LatticeState:
 
 
 def minimum_torus_size(walk: WalkSpec) -> int:
-    """Smallest per-axis size that keeps one step wrap-free."""
-    return 2 * walk.tiling.max_shift + 1
+    """Smallest per-axis size that keeps one step wrap-free: 2 h + 1 for the
+    largest shift entry h in the table (0 for a trivial table)."""
+    return 2 * max((abs(h) for rule in walk.tiling.rules for h in rule.shift), default=0) + 1
 
 
 def _check_torus(walk: WalkSpec, shape: tuple[int, ...]) -> None:
@@ -68,7 +69,7 @@ def _check_torus(walk: WalkSpec, shape: tuple[int, ...]) -> None:
     if smallest < needed:
         raise TorusSizeError(
             f"torus size {smallest} too small; displacements up to "
-            f"{walk.tiling.max_shift} need at least {needed}"
+            f"{(needed - 1) // 2} need at least {needed}"
         )
 
 

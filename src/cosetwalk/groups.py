@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 
 class TilingError(Exception):
@@ -137,26 +136,17 @@ class TilingData:
             )
         if self.rep_words[0] != ():
             raise ValueError("representative of coset 0 must be the empty word")
-        seen: set[tuple[GeneratorLabel, int]] = set()
+        rows: dict[tuple[GeneratorLabel, int], tuple[int, tuple[int, ...]]] = {}
         for rule in self.rules:
             if len(rule.shift) != self.dimension:
                 raise ValueError(f"shift {rule.shift} has wrong dimension")
             if not 0 <= rule.coset < self.index or not 0 <= rule.target < self.index:
                 raise ValueError(f"table row ({rule.generator.name}, j={rule.coset}) -> {rule.target} "
                                  f"has a coset index outside 0..{self.index - 1}")
-            key = (rule.generator, rule.coset)
-            if key in seen:
+            if (rule.generator, rule.coset) in rows:
                 raise ValueError(f"duplicate table row for {rule.generator.name}, j={rule.coset}")
-            seen.add(key)
-
-    @cached_property
-    def _rows(self) -> Mapping[tuple[GeneratorLabel, int], tuple[int, tuple[int, ...]]]:
-        return {(r.generator, r.coset): (r.target, r.shift) for r in self.rules}
-
-    @cached_property
-    def max_shift(self) -> int:
-        """Largest sup-norm displacement in the table (0 for a trivial table)."""
-        return max((max(map(abs, r.shift), default=0) for r in self.rules), default=0)
+            rows[(rule.generator, rule.coset)] = (rule.target, rule.shift)
+        object.__setattr__(self, "_rows", rows)
 
     def row(self, g: GeneratorLabel, coset: int) -> tuple[int, tuple[int, ...]]:
         """(target, shift) of the table row (g, j=coset)."""

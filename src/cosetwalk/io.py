@@ -7,10 +7,10 @@ The CSV writers take _CSV_BLOCK_ROWS rows at a time: one "%.17g" call formats
 the distinct values of ``np.unique(block + 0.0)`` (+ 0.0 prints -0.0 as 0) into
 "x\\n" strings for the last column and, when there are more float columns, "x,"
 strings for the others; integers are "i," strings, and each block's cells, one
-string each, leave in one write before the next block.  The dispersion writer
-also takes the in-order chunk stream of ``spectral.dispersion_chunks`` and
-writes each chunk as it arrives; ``save_dispersion_csv`` spools the rows to an
-anonymous temporary file and writes its path only after the last row.
+string each, leave in one write before the next block.  ``save_dispersion_csv``
+takes the in-order chunk stream of ``spectral.dispersion_chunks``, spools each
+chunk as it arrives to an anonymous temporary file and writes its path only
+after the last row; ``save_probability_csv`` is the other CSV writer.
 """
 
 from __future__ import annotations
@@ -225,35 +225,27 @@ def _write_table(stream: IO[str], header: list[str], values: np.ndarray, shape: 
         stream.write("".join(cells.ravel().tolist()))
 
 
-def write_dispersion_csv(grid: DispersionGrid | Iterable[DispersionGrid], stream: IO[str]) -> None:
-    """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point,
-    phases ascending.  ``grid`` is a whole grid or its in-order row chunks
-    (``spectral.dispersion_chunks``), each written as it arrives.  Fields
-    are written as ``_format_float`` writes them."""
-    for index, chunk in enumerate([grid] if isinstance(grid, DispersionGrid) else grid):
-        d = chunk.kpoints.shape[1]
-        header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(chunk.phases.shape[1])]
-        _write_table(stream, [] if index else header, np.hstack([chunk.kpoints, chunk.phases]))
-
-
-def save_dispersion_csv(grid: DispersionGrid | Iterable[DispersionGrid], path: str | Path) -> None:
-    """``write_dispersion_csv`` into an anonymous temporary file, copied to
-    ``path`` after the last row: a chunk stream that raises leaves ``path``
-    as it was, and an unwritable ``path`` fails only after the solve."""
+def save_dispersion_csv(chunks: Iterable[DispersionGrid], path: str | Path) -> None:
+    """Header k_1..k_d, omega_1..omega_{s*l}; one row per grid point, phases
+    ascending, fields as ``_format_float`` writes them.  ``chunks`` is the
+    in-order chunk stream of ``spectral.dispersion_chunks`` (a whole grid is
+    ``[grid]``); each chunk is written as it arrives into an anonymous
+    temporary file, copied to ``path`` after the last row: a chunk stream that
+    raises leaves ``path`` as it was, and an unwritable ``path`` fails only
+    after the solve."""
     with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        write_dispersion_csv(grid, spool)
+        for index, chunk in enumerate(chunks):
+            d = chunk.kpoints.shape[1]
+            header = [f"k_{i + 1}" for i in range(d)] + [f"omega_{r + 1}" for r in range(chunk.phases.shape[1])]
+            _write_table(spool, [] if index else header, np.hstack([chunk.kpoints, chunk.phases]))
         spool.seek(0)
         with open(path, "wb") as stream:
             shutil.copyfileobj(spool.buffer, stream)
 
 
-def write_probability_csv(state: LatticeState, stream: IO[str]) -> None:
-    """Site coordinates, coset index, probability; sites in row-major order."""
-    probabilities = probability_map(state)
-    header = [f"site_{i + 1}" for i in range(len(state.sizes))] + ["coset", "probability"]
-    _write_table(stream, header, probabilities.reshape(-1, 1), probabilities.shape)
-
-
 def save_probability_csv(state: LatticeState, path: str | Path) -> None:
+    """Site coordinates, coset index, probability; sites in row-major order."""
     with open(path, "w", encoding="utf-8") as stream:
-        write_probability_csv(state, stream)
+        probabilities = probability_map(state)
+        header = [f"site_{i + 1}" for i in range(len(state.sizes))] + ["coset", "probability"]
+        _write_table(stream, header, probabilities.reshape(-1, 1), probabilities.shape)

@@ -103,7 +103,7 @@ class IsotropySpec:
                 )
         u = _square_matrix(self.coin_unitary, "coin matrix")
         defect = unitarity_defect(u)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ValueError(f"coin matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "coin_unitary", u)

@@ -58,6 +58,7 @@ def _validation_messages(tiling):
     (lambda: IsotropySpec(ex.SWAP_AB, "x"), ValueError, "coin matrix is not an array of numbers"),
     (lambda: IsotropySpec(ex.SWAP_AB, [1]), ValueError, "coin matrix has shape (1,), expected (1, 1)"),
     (lambda: IsotropySpec(ex.SWAP_AB, np.eye(3)[:2]), ValueError, "coin matrix has shape (2, 3), expected (2, 2)"),
+    (lambda: IsotropySpec(ex.SWAP_AB, [[np.nan, 0], [0, 1]]), ValueError, "coin matrix is not unitary (defect nan)"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
@@ -72,7 +73,7 @@ def _validation_messages(tiling):
     "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
     "walk-file-root-not-an-object", "walk-spec-ragged-matrix", "isotropy-ragged-coin", "isotropy-text-coin",
-    "isotropy-one-axis-coin", "isotropy-non-square-coin",
+    "isotropy-one-axis-coin", "isotropy-non-square-coin", "isotropy-nan-coin",
     "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
     "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])

@@ -1,10 +1,10 @@
 import importlib
-import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import cosetwalk
 from cosetwalk import cli
 from cosetwalk import examples as ex
 from cosetwalk.cli import main
-from cosetwalk.evolve import LatticeState, evolve, make_delta, make_plane_wave, probability_map
+from cosetwalk.evolve import LatticeState, evolve, make_delta, make_plane_wave, minimum_torus_size, probability_map
 from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, TilingError, TilingRule, generator_pair
 from cosetwalk.io import (
     _CSV_BLOCK_ROWS,
@@ -26,9 +26,8 @@ from cosetwalk.io import (
     load_walk,
     loads_walk,
     save_dispersion_csv,
+    save_probability_csv,
     save_walk,
-    write_dispersion_csv,
-    write_probability_csv,
 )
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM
 from cosetwalk.spectral import BandCrossingError, DispersionGrid, ExtremumError, dispersion_grid
@@ -301,7 +300,7 @@ def test_parse_error_reports_field():
 def test_dispersion_csv_format(tmp_path, g2_one):
     grid = dispersion_grid(g2_one, 5)
     path = tmp_path / "grid.csv"
-    save_dispersion_csv(grid, path)
+    save_dispersion_csv([grid], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k_1,k_2,omega_1,omega_2,omega_3,omega_4"
     assert len(lines) == 1 + 25
@@ -322,10 +321,16 @@ def _per_row_csv(grid):
     return "".join(lines)
 
 
+def _saved_text(save, data):
+    """The text that ``save(data, path)`` writes."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "out.csv"
+        save(data, path)
+        return path.read_text(encoding="utf-8")
+
+
 def _csv_text(grid):
-    stream = io.StringIO()
-    write_dispersion_csv(grid, stream)
-    return stream.getvalue()
+    return _saved_text(save_dispersion_csv, [grid])
 
 
 def test_dispersion_csv_matches_per_row_formatting(g1_massive):
@@ -470,8 +475,7 @@ def test_cli_dispersion_deterministic_output(tmp_path, capsys, cores, pools):
     walk, closed_form = ex.builtin_walk("g1", _MASSIVE)
     for resolution in (45, 46, 91):
         grid = dispersion_grid(walk, resolution)
-        stream = io.StringIO()
-        write_dispersion_csv(grid, stream)
+        text = _csv_text(grid)
         deviation = ex.grid_oracle_deviation(grid, closed_form)
         for workers in (1, 2):
             cores(workers)
@@ -484,7 +488,7 @@ def test_cli_dispersion_deterministic_output(tmp_path, capsys, cores, pools):
             assert main(args + [str(second)]) == 0
             assert capsys.readouterr().out == printed.replace(str(first), str(second))
             assert pools == ([] if workers == 1 or resolution == 45 else [2, 2])
-            assert first.read_bytes() == second.read_bytes() == stream.getvalue().encode()
+            assert first.read_bytes() == second.read_bytes() == text.encode()
             assert printed == f"wrote {resolution**2} rows to {first}\noracle deviation: {deviation:.3e}\noracle: ok\n"
 
 
@@ -533,9 +537,7 @@ def test_cli_dispersion_writes_to_dev_stdout():
     argv = [sys.executable, "-m", "cosetwalk.cli", "dispersion", "--example", "g2", "--grid", "5", "--out", "/dev/stdout"]
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run(argv, capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    stream = io.StringIO()
-    write_dispersion_csv(dispersion_grid(ex.g2_walk("I"), 5), stream)
-    assert done.stdout == stream.getvalue() + "wrote 25 rows to /dev/stdout\n"
+    assert done.stdout == _csv_text(dispersion_grid(ex.g2_walk("I"), 5)) + "wrote 25 rows to /dev/stdout\n"
     assert done.stderr == ""
 
 
@@ -672,7 +674,7 @@ def test_walk_file_shift_of_2_53_loads(tmp_path, capsys):
     doc["table"][0][3], doc["table"][1][3] = [2**53], [-(2**53)]
     path = tmp_path / "line.json"
     path.write_text(json.dumps(doc))
-    assert load_walk(path).tiling.max_shift == 2**53
+    assert minimum_torus_size(load_walk(path)) == 2**54 + 1
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr() == ("tiling: ok\nunitarity residual: 0.000e+00\nunitarity: ok\n", "")
 
@@ -835,15 +837,11 @@ def _per_row_probability_csv(state):
 def test_probability_csv_matches_per_row_formatting(maker, size, steps):
     walk = maker()
     state = evolve(walk, make_delta(walk, size), steps)
-    stream = io.StringIO()
-    write_probability_csv(state, stream)
-    assert stream.getvalue() == _per_row_probability_csv(state)
+    assert _probability_text(state) == _per_row_probability_csv(state)
 
 
 def _probability_text(state):
-    stream = io.StringIO()
-    write_probability_csv(state, stream)
-    return stream.getvalue()
+    return _saved_text(save_probability_csv, state)
 
 
 def _assert_same_lines(text, reference):

@@ -12,16 +12,22 @@ left to right): G1 is the wallpaper group p4 and G2 is pg.  They check the
 reduction from outside the tiling table: ``affine_table_mismatches`` tests
 each table row against the group itself, and ``reference_walk`` steps a walk
 on group elements without reading the table.
+
+``fold_walk`` folds a walk over the sublattice mZ^d: the same group and
+coins, with m^d cosets for each old one.  It repeats the paper's reduction
+on a walk that is already reduced, so its spectrum and its dynamics are
+fixed by the original's and serve as an oracle for any walk.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
-from cosetwalk.groups import TilingData, TilingRule, Word, evaluate_word, generator_pair
+from cosetwalk.groups import GroupElement, TilingData, TilingRule, Word, evaluate_word, generator_pair, right_multiply
 from cosetwalk.linalg import operator_norm
 from cosetwalk.walks import WalkSpec
 
@@ -77,6 +83,44 @@ def isotropy_normalization_residual(walk: WalkSpec) -> float:
     """||sum_g A_g - I||, zero exactly for the normalized solution families."""
     total = sum(walk.matrices.values())
     return operator_norm(total - np.eye(walk.coin_dim))
+
+
+def fold_row(r: tuple[int, ...], h: tuple[int, ...], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(r', q) with r - h = -m q + r' and every entry of r' in 0..m-1."""
+    return tuple((a - b) % m for a, b in zip(r, h)), tuple(-((a - b) // m) for a, b in zip(r, h))
+
+
+def fold_walk(walk: WalkSpec, m: int) -> WalkSpec:
+    """The walk over the sublattice mZ^d: site (v, j) with v = m w + r becomes
+    (w, (j, r)), coset (j, r) numbered j m^d + (index of r in row-major order).
+
+    A step moves the amplitude at v to v - h, so the row (g, j) -> (t, h)
+    becomes, for each r, (g, (j, r)) -> ((t, r'), q) with (r', q) =
+    ``fold_row(r, h, m)``.  The representative word of (j, r) is a shortest
+    word that evaluates to (r, j) in the original table, found breadth first.
+    """
+    tiling = walk.tiling
+    residues = list(itertools.product(range(m), repeat=tiling.dimension))
+    coset = {(j, r): j * len(residues) + i for j in range(tiling.index) for i, r in enumerate(residues)}
+    rules = []
+    for rule in tiling.rules:
+        for r in residues:
+            r_new, q = fold_row(r, rule.shift, m)
+            rules.append(TilingRule(rule.generator, coset[(rule.coset, r)], coset[(rule.target, r_new)], q))
+    words = {GroupElement.identity(tiling.dimension): ()}
+    frontier = list(words)
+    while frontier and not all(GroupElement(r, j) in words for j, r in coset):
+        reached = []
+        for x in frontier:
+            for g in walk.presentation.alphabet:
+                y = right_multiply(x, g, tiling)
+                if y not in words:
+                    words[y] = words[x] + (g,)
+                    reached.append(y)
+        frontier = reached
+    rep_words = tuple(words[GroupElement(r, j)] for j, r in coset)
+    folded = TilingData(tiling.dimension, len(coset), rep_words, tuple(rules))
+    return WalkSpec(walk.presentation, folded, walk.matrices)
 
 
 A, A_INV = generator_pair("a")
