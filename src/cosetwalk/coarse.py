@@ -17,6 +17,8 @@ is handled alone, so the concatenated stream is the same bits as one call,
 with peak memory of one chunk per worker.
 ``available_workers`` (the available cores, at most one per task) sets the
 thread count here and for the target cosets of ``evolve.evolve``.
+``lattice`` is the one row-major point order, shared by dispersion grid
+rows, torus sites and Fourier momenta.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ def shift_blocks(walk: WalkSpec) -> tuple[tuple[tuple[int, ...], ...], np.ndarra
         cols = slice(s * rule.coset, s * rule.coset + s)
         blocks[position[rule.shift], rows, cols] += walk.matrices[rule.generator]
     return tuple(shifts), blocks
+
+
+def lattice(axis: np.ndarray, d: int) -> np.ndarray:
+    """The (N^d, d) points of axis x ... x axis (d factors) in row-major order."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def kspace_operators(walk: WalkSpec, kpoints: np.ndarray) -> np.ndarray:

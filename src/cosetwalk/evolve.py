@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import available_workers, kspace_operators, map_kchunks, shift_blocks
+from .coarse import available_workers, kspace_operators, lattice, map_kchunks, shift_blocks
 from .linalg import DEFAULT_UNITARY_TOL, circular_distance, eigenpairs, wrap_phase
 from .walks import WalkSpec
 
@@ -125,10 +125,9 @@ def make_plane_wave(
     coin = int(np.flatnonzero(weights >= weights.max() - DEFAULT_UNITARY_TOL)[0])
     fiber = basis @ basis[coin].conj()
     fiber = fiber / np.linalg.norm(fiber)
-    grids = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
-    phase = np.zeros(sizes, dtype=float)
-    for axis in range(d):
-        phase += k[axis] * grids[axis]
+    sites = lattice(np.arange(size), d)
+    # summed in axis order from zero, not by a BLAS product, which may round differently
+    phase = sum(k[a] * sites[:, a] for a in range(d)).reshape(sizes)
     wave = np.exp(-1j * phase) / np.sqrt(size**d)
     amps = wave[..., None, None] * fiber.reshape(shape[d:])
     return LatticeState(amps)
@@ -276,8 +275,7 @@ def evolve_fourier(walk: WalkSpec, state: LatticeState, steps: int) -> LatticeSt
     # hat psi(m) = sum_v e^{+2 pi i m.v / N} psi(v)
     hat = np.fft.ifftn(state.amplitudes, axes=site_axes) * volume
 
-    momenta = np.meshgrid(*[np.arange(size) for _ in range(d)], indexing="ij")
-    kpoints = np.stack([wrap_phase(2.0 * np.pi * m.ravel() / size) for m in momenta], axis=1)
+    kpoints = lattice(wrap_phase(2.0 * np.pi * np.arange(size) / size), d)
     flat = hat.reshape(-1, walk.block_dim)
     evolved = np.concatenate(list(map_kchunks(walk, kpoints, lambda start, ops: np.einsum(
         "kij,kj->ki", np.linalg.matrix_power(ops, steps), flat[start:start + len(ops)]

@@ -108,6 +108,12 @@ def _with_inverse_rows(table) -> tuple[TilingRule, ...]:
     )
 
 
+def _planar_walk(relators, rep_words, table, matrices) -> WalkSpec:
+    """A built-in walk: generators (a, b), dimension 2, one coset per representative word."""
+    tiling = TilingData(2, len(rep_words), rep_words, _with_inverse_rows(table))
+    return WalkSpec(GroupPresentation((A, B), relators), tiling, matrices)
+
+
 def g1_base_matrices(walk_class: str, sign: int) -> dict[GeneratorLabel, np.ndarray]:
     """The normalized (Z = I) transition matrices of either class."""
     zeta = (1.0 + 1j * sign) / 2.0
@@ -123,16 +129,7 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
     """Built-in g1 walk; passes tiling validation and is unitary to 1e-12."""
     z = params.n * IDENTITY2 + 1j * params.sign * params.m * PAULI_X  # the mixing unitary Z
     matrices = {g: z @ m for g, m in g1_base_matrices(params.walk_class, params.sign).items()}
-    return WalkSpec(
-        presentation=GroupPresentation(generators=(A, B), relators=((A,) * 4, (B,) * 4, (A, B, A, B))),
-        tiling=TilingData(
-            dimension=2,
-            index=4,
-            rep_words=((), (A,), (A, A), (A, A, A)),
-            rules=_with_inverse_rows(_G1_TABLE),
-        ),
-        matrices=matrices,
-    )
+    return _planar_walk(((A,) * 4, (B,) * 4, (A, B, A, B)), ((), (A,), (A, A), (A, A, A)), _G1_TABLE, matrices)
 
 
 def g1_effective_weight(params: G1Params) -> float:
@@ -206,16 +203,7 @@ def g2_solution_matrices(variant: str = "I") -> dict[GeneratorLabel, np.ndarray]
 
 def g2_walk(variant: str = "I") -> WalkSpec:
     """Built-in g2 walk; passes tiling validation and is unitary to 1e-12."""
-    return WalkSpec(
-        presentation=GroupPresentation(generators=(A, B), relators=((A, A, B_INV, B_INV),)),
-        tiling=TilingData(
-            dimension=2,
-            index=2,
-            rep_words=((), (A_INV,)),
-            rules=_with_inverse_rows(_G2_TABLE),
-        ),
-        matrices=g2_solution_matrices(variant),
-    )
+    return _planar_walk(((A, A, B_INV, B_INV),), ((), (A_INV,)), _G2_TABLE, g2_solution_matrices(variant))
 
 
 def g2_wave_numbers(k) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@ unitaries, norms, and circular phase-multiset comparison, batched over
 leading axes.
 
 Matrices are plain numpy arrays (complex128).  ``eigenpairs`` is the one
-eigensolver: it takes a stack (..., n, n), solves every matrix through one
+eigensolver: it takes a stack (k, n, n), solves every matrix through one
 ``np.linalg.eigh`` call on its Hermitian part zU + (zU)^dag, and re-solves
 with ``np.linalg.eig`` only the matrices that call leaves uncertified.
 Eigenvalues of a unitary U are written e^{-i omega} with omega in
@@ -81,30 +81,23 @@ def circular_distance(a, b):
     return np.abs(wrap_phase(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-def _check_bound(
-    values: np.ndarray, tol: float, batch: tuple[int, ...], error, what: str, offset: int = 0
-) -> None:
+def _check_bound(values: np.ndarray, tol: float, error, what: str, offset: int) -> None:
     """Raise ``error`` at the first stack entry whose value exceeds tol; NaN fails.
 
-    ``offset`` is added to the first axis of the reported index, so a chunk
-    of a larger stack names the index in the whole stack.
+    ``offset`` is added to the reported index, so a chunk of a larger stack
+    names the index in the whole stack.
     """
     failing = np.flatnonzero(~(values <= tol))
     if failing.size:
         i = int(failing[0])
-        where = ""
-        if batch:
-            index = [int(x) for x in np.unravel_index(i, batch)]
-            index[0] += offset
-            where = f" at stack index {tuple(index)}"
-        raise error(f"{what} {values[i]:.3e} exceeds {tol:.1e}{where}")
+        raise error(f"{what} {values[i]:.3e} exceeds {tol:.1e} at stack index ({i + offset},)")
 
 
-def _check_unitary(flat: np.ndarray, rows: np.ndarray | slice, batch: tuple[int, ...], offset: int) -> None:
-    """Raise NonUnitaryError at the first of ``flat[rows]`` with ||U^dag U - I||_2 above tol."""
-    defect = np.zeros(len(flat))
-    defect[rows] = unitarity_defect(flat[rows])
-    _check_bound(defect, DEFAULT_UNITARY_TOL, batch, NonUnitaryError, "unitarity defect", offset)
+def _check_unitary(u: np.ndarray, rows: np.ndarray | slice, offset: int) -> None:
+    """Raise NonUnitaryError at the first of ``u[rows]`` with ||U^dag U - I||_2 above tol."""
+    defect = np.zeros(len(u))
+    defect[rows] = unitarity_defect(u[rows])
+    _check_bound(defect, DEFAULT_UNITARY_TOL, NonUnitaryError, "unitarity defect", offset)
 
 
 def _phases_and_worst(values: np.ndarray, vectors: np.ndarray, image: np.ndarray):
@@ -119,12 +112,12 @@ def _phases_and_worst(values: np.ndarray, vectors: np.ndarray, image: np.ndarray
 
 
 def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Phases and eigenvectors of a unitary matrix or a stack of them.
+    """Phases and eigenvectors of a stack of unitary matrices.
 
-    ``u`` has shape (..., n, n).  Returns phases (..., n), ascending in
-    (-pi, pi + 1e-8] along the last axis, and vectors (..., n, n) with
-    vectors[..., :, i] the eigenvector paired with phases[..., i]; the
-    eigenvalue is e^{-i phases[..., i]}.  A phase within DEFAULT_UNITARY_TOL
+    ``u`` has shape (k, n, n).  Returns phases (k, n), ascending in
+    (-pi, pi + 1e-8] along the last axis, and vectors (k, n, n) with
+    vectors[j, :, i] the eigenvector paired with phases[j, i]; the
+    eigenvalue is e^{-i phases[j, i]}.  A phase within DEFAULT_UNITARY_TOL
     of -pi is counted as +pi (lifted by 2 pi, not clamped), so rounding
     cannot split an eigenspace at pi across both ends of the sort.
 
@@ -155,54 +148,52 @@ def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarr
     EigensolveError.
 
     ``_offset`` is for callers that solve one stack in chunks: it is added
-    to the first axis of the stack index an error names.
+    to the stack index an error names.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+    if u.ndim != 3 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {u.shape}")
     n = u.shape[-1]
     if n > EIGENSOLVE_MAX_DIM:
         raise ValueError(f"matrix dimension {n} exceeds {EIGENSOLVE_MAX_DIM}")
-    batch = u.shape[:-2]
-    flat = u.reshape((int(np.prod(batch)), n, n))
     # a non-unitary input may warn only in the unitarity check
     with np.errstate(over="ignore", invalid="ignore"):
-        hermitian = np.exp(1j * HERMITIAN_ROTATION) * flat
+        hermitian = np.exp(1j * HERMITIAN_ROTATION) * u
         hermitian += adjoint(hermitian)
     try:
         vectors = np.linalg.eigh(hermitian)[1]
     except np.linalg.LinAlgError as exc:
-        _check_unitary(flat, slice(None), batch, _offset)
+        _check_unitary(u, slice(None), _offset)
         raise EigensolveError(f"eigensolver did not converge: {exc}") from exc
     del hermitian
     with np.errstate(over="ignore", invalid="ignore"):
-        image = flat @ vectors
+        image = u @ vectors
         values = np.einsum("kij,kij->kj", vectors.conj(), image)
         phases, worst = _phases_and_worst(values, vectors, image)
     del image
     redo = np.flatnonzero(~(worst <= DEFAULT_RESIDUAL_TOL / 4))
     if redo.size:
-        _check_unitary(flat, redo, batch, _offset)
+        _check_unitary(u, redo, _offset)
         try:
-            values[redo], vectors[redo] = np.linalg.eig(flat[redo])
+            values[redo], vectors[redo] = np.linalg.eig(u[redo])
         except np.linalg.LinAlgError as exc:
             raise EigensolveError(f"eigensolver did not converge: {exc}") from exc
-        phases[redo], worst[redo] = _phases_and_worst(values[redo], vectors[redo], flat[redo] @ vectors[redo])
+        phases[redo], worst[redo] = _phases_and_worst(values[redo], vectors[redo], u[redo] @ vectors[redo])
     if not (worst <= DEFAULT_RESIDUAL_TOL).all():
         # the certificate rebuilds each eigenvalue on the unit circle, so an
         # eigenvalue off it by more than the bound is the input's fault
         modulus = np.abs(np.abs(values) - 1.0).max(axis=-1, initial=0.0)
         _check_bound(
             np.where(modulus > DEFAULT_RESIDUAL_TOL, modulus, 0.0), DEFAULT_RESIDUAL_TOL,
-            batch, NonUnitaryError, "eigenvalue modulus defect", _offset,
+            NonUnitaryError, "eigenvalue modulus defect", _offset,
         )
         _check_bound(
-            worst, DEFAULT_RESIDUAL_TOL, batch, EigensolveError, "eigenpair residual", _offset
+            worst, DEFAULT_RESIDUAL_TOL, EigensolveError, "eigenpair residual", _offset
         )
     order = np.argsort(phases, axis=-1, kind="stable")
     phases = np.take_along_axis(phases, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    return phases.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
+    return phases, vectors
 
 
 def phase_multiset_distance(a, b):

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coarse import kspace_operators, map_kchunks
+from .coarse import kspace_operators, lattice, map_kchunks
 from .linalg import eigenpairs, wrap_phase
 from .walks import WalkSpec
 
@@ -68,10 +68,7 @@ def dispersion_chunks(walk: WalkSpec, resolution: int) -> Iterator[DispersionGri
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    d = walk.tiling.dimension
-    axis = grid_axis(resolution)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    kpoints = np.stack([m.ravel() for m in mesh], axis=1)
+    kpoints = lattice(grid_axis(resolution), walk.tiling.dimension)
     yield from map_kchunks(walk, kpoints, lambda start, ops: DispersionGrid(
         kpoints[start:start + len(ops)], eigenpairs(ops, _offset=start)[0]
     ))

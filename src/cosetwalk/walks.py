@@ -97,7 +97,7 @@ class IsotropySpec:
         if set(perm.values()) != set(perm):
             raise ValueError("permutation is not a bijection of the alphabet")
         for g, image in perm.items():
-            if perm[g.inverse()] != image.inverse():
+            if perm.get(g.inverse()) != image.inverse():
                 raise ValueError(
                     f"permutation does not commute with inversion at {g.name}"
                 )

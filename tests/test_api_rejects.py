@@ -36,9 +36,11 @@ def _validation_messages(tiling):
     (lambda: GroupPresentation((A,), ((A, B),)), ValueError, "relator uses unknown letter 'b'"),
     (lambda: kspace_operators(ex.g2_walk("I"), np.zeros((3, 3))), ValueError, "kpoints must have shape (nk, 2)"),
     (lambda: kspace_operators(ex.g2_walk("I"), np.zeros(2)), ValueError, "kpoints must have shape (nk, 2)"),
-    (lambda: eigenpairs(np.eye(3)[:2]), ValueError, "expected a square matrix or a stack of them, got shape (2, 3)"),
-    (lambda: eigenpairs(np.ones(4)), ValueError, "expected a square matrix or a stack of them, got shape (4,)"),
-    (lambda: eigenpairs(np.eye(EIGENSOLVE_MAX_DIM + 1)), ValueError,
+    (lambda: eigenpairs(np.eye(3)[None, :2]), ValueError, "expected a stack of square matrices, got shape (1, 2, 3)"),
+    (lambda: eigenpairs(np.ones(4)), ValueError, "expected a stack of square matrices, got shape (4,)"),
+    (lambda: eigenpairs(np.eye(3)), ValueError, "expected a stack of square matrices, got shape (3, 3)"),
+    (lambda: eigenpairs(np.eye(3)[None, None]), ValueError, "expected a stack of square matrices, got shape (1, 1, 3, 3)"),
+    (lambda: eigenpairs(np.eye(EIGENSOLVE_MAX_DIM + 1)[None]), ValueError,
      f"matrix dimension {EIGENSOLVE_MAX_DIM + 1} exceeds {EIGENSOLVE_MAX_DIM}"),
     (lambda: _components([0.1, 0.2, 0.3], 2), ValueError, "wave-vector has shape (3,), expected (2,)"),
     (lambda: _components([[0.1, 0.2]], 2), ValueError, "wave-vector has shape (1, 2), expected (2,)"),
@@ -59,6 +61,7 @@ def _validation_messages(tiling):
     (lambda: IsotropySpec(ex.SWAP_AB, [1]), ValueError, "coin matrix has shape (1,), expected (1, 1)"),
     (lambda: IsotropySpec(ex.SWAP_AB, np.eye(3)[:2]), ValueError, "coin matrix has shape (2, 3), expected (2, 2)"),
     (lambda: IsotropySpec(ex.SWAP_AB, [[np.nan, 0], [0, 1]]), ValueError, "coin matrix is not unitary (defect nan)"),
+    (lambda: IsotropySpec({A: A}, np.eye(2)), ValueError, "permutation does not commute with inversion at a"),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)))),
      None, ["[table] table row for unknown generator c"]),
     (lambda: _validation_messages(_line_tiling(TilingRule(C, 0, 0, (0,)), TilingRule(C.inverse(), 0, 0, (0,)))),
@@ -70,10 +73,10 @@ def _validation_messages(tiling):
 ], ids=[
     "presentation-duplicate-names", "presentation-inverse-in-s-plus", "presentation-unknown-relator-letter",
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
-    "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
+    "eigenpairs-one-matrix", "eigenpairs-two-stack-axes", "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
     "walk-file-root-not-an-object", "walk-spec-ragged-matrix", "isotropy-ragged-coin", "isotropy-text-coin",
-    "isotropy-one-axis-coin", "isotropy-non-square-coin", "isotropy-nan-coin",
+    "isotropy-one-axis-coin", "isotropy-non-square-coin", "isotropy-nan-coin", "isotropy-missing-inverse-letter",
     "validate-unknown-letter-row", "validate-two-unknown-letters-in-table-order",
     "validate-two-unknown-letters-in-reversed-table-order", "validate-unknown-letter-representative",
 ])

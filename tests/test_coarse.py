@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
-from cosetwalk.coarse import kspace_operators
+from cosetwalk.coarse import kspace_operators, lattice
 from cosetwalk.groups import (
     GroupPresentation,
     TilingData,
@@ -17,13 +19,23 @@ from cosetwalk.linalg import (
     phase_multiset_distance,
     unitarity_defect,
 )
-from cosetwalk.spectral import band_phases
+from cosetwalk.spectral import band_phases, grid_axis
 from cosetwalk.walks import WalkSpec
 
 from walk_helpers import RetileError, retile
 
 A, A_INV = generator_pair("a")
 B, B_INV = generator_pair("b")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 5])
+def test_lattice_is_the_row_major_product_of_its_axis(d, size):
+    for axis in (grid_axis(size), np.arange(size)):
+        points = lattice(axis, d)
+        expected = np.array(list(itertools.product(axis, repeat=d)))
+        assert points.shape == expected.shape == (size**d, d) and points.dtype == expected.dtype
+        assert points.tobytes() == expected.tobytes()
 
 
 def test_fiber_operators_are_unitary_for_builtin_walks(g1_massive, g2_one, rng):
@@ -110,7 +122,7 @@ def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
             + np.exp(1j * kx / 2) * mats[B_INV]
         )
         independent = np.kron(PAULI_Z, bk @ PAULI_Z)
-        assert phase_multiset_distance(band_phases(g2_one, k), eigenpairs(independent)[0]) < 1e-12
+        assert phase_multiset_distance(band_phases(g2_one, k), eigenpairs(independent[None])[0][0]) < 1e-12
 
 
 # --- retiling ---------------------------------------------------------------

@@ -3,6 +3,7 @@ sublattice 2Z^2 gives a valid walk whose spectrum and dynamics are fixed by
 the original's (``walk_helpers.fold_walk``)."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import walk_helpers
 from cosetwalk import coarse
 from cosetwalk import examples as ex
-from cosetwalk.cli import main
+from cosetwalk.cli import ORACLE_TOLERANCE, main
 from cosetwalk.coarse import kspace_operators
 from cosetwalk.evolve import LatticeState, evolve
 from cosetwalk.groups import validate_tiling
@@ -29,6 +30,13 @@ WALKS = {
     "g2-II": lambda: ex.g2_walk("II"),
 }
 FIBERS = {"g1-I": 32, "g1-II": 32, "g2-I": 16, "g2-II": 16}
+CLOSED_FORMS = {
+    "g1-I": lambda k: ex.g1_closed_form(k, ex.g1_effective_weight(ex.G1Params("I", 0.6, 0.8, 1)), "I"),
+    "g1-II": lambda k: ex.g1_closed_form(k, ex.g1_effective_weight(ex.G1Params("II", 0.6, 0.8, 1)), "II"),
+    "g2-I": ex.g2_closed_form,
+    "g2-II": ex.g2_closed_form,
+}
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fold_state(amplitudes, m):
@@ -75,6 +83,21 @@ def test_folded_phases_are_the_original_phases_at_the_unfolded_wave_vectors(pair
         for mu in itertools.product(range(M), repeat=2)
     ], axis=1)
     assert np.max(phase_multiset_distance(phases, unfolded)) <= 1e-12
+
+
+def test_folded_grid_rows_are_the_closed_forms_at_the_unfolded_wave_vectors(pair):
+    name, _, folded = pair
+    grid = dispersion_grid(folded, 9)
+    exact = np.concatenate([
+        CLOSED_FORMS[name]((grid.kpoints + 2 * np.pi * np.array(mu)) / M)
+        for mu in itertools.product(range(M), repeat=2)
+    ], axis=1)
+    assert np.max(phase_multiset_distance(grid.phases, exact)) < ORACLE_TOLERANCE
+
+
+@pytest.mark.parametrize("name, fixture", [("g1-II", "g1_folded.json"), ("g2-I", "g2_folded.json")])
+def test_the_folded_fixtures_are_the_folds_of_the_builtin_walks(name, fixture):
+    assert (FIXTURES / fixture).read_text(encoding="utf-8") == dumps_walk(fold_walk(WALKS[name](), M))
 
 
 def test_evolve_commutes_with_the_fold(pair, rng):
