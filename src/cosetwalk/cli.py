@@ -16,12 +16,16 @@ planewave``) takes a fiber dimension l s of at most EIGENSOLVE_MAX_DIM.
 each certified chunk is scored by the oracle and spooled as CSV while the
 workers solve the next, and ``--out`` is written only after the last chunk is
 certified, so a failing solve leaves it as it was.
+The parser is built once per process (``build_parser`` is cached); each
+subcommand names its handler, which ``main`` looks up in the module globals
+when the command runs, so a handler rebound after the first call still runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -221,6 +225,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK if all(item.passed for item in items) else EXIT_FAILURE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cosetwalk",
@@ -233,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_walk_source(p)
     p.add_argument("--tolerance", type=float, default=UNITARITY_TOLERANCE)
     p.add_argument("--isotropy", choices=["sigma_x", "sigma_z"], help="also check a<->b swap covariance")
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler="cmd_validate")
 
     p = sub.add_parser("dispersion", help="sweep eigenphases over the wave-vector lattice")
     _add_walk_source(p)
     p.add_argument("--grid", type=int, default=33, help="points per axis (N >= 2)")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--oracle", action="store_true", help="cross-check built-ins against the closed form")
-    p.set_defaults(handler=cmd_dispersion)
+    p.set_defaults(handler="cmd_dispersion")
 
     p = sub.add_parser("evolve", help="evolve a state on a finite torus")
     _add_walk_source(p)
@@ -249,18 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["delta", "planewave"], default="delta")
     p.add_argument("--momentum", help="integer index for --init planewave, each |m| < --torus (default 1,0,...,0)")
     p.add_argument("--out", help="probability CSV output path")
-    p.set_defaults(handler=cmd_evolve)
+    p.set_defaults(handler="cmd_evolve")
 
     p = sub.add_parser("show-example", help="export a built-in walk to a walk-spec file")
     p.add_argument("example", help="g1 or g2")
     p.add_argument("--params", help="same syntax as the dispersion command")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_show_example, path=None)
+    p.set_defaults(handler="cmd_show_example", path=None)
 
     p = sub.add_parser("suite", help="run the solution-family verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000, help="random scalar families per graph")
-    p.set_defaults(handler=cmd_suite)
+    p.set_defaults(handler="cmd_suite")
 
     return parser
 
@@ -283,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_glue_momentum(sys.argv[1:] if argv is None else argv))
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (UsageError, WalkFileError, OSError, TorusSizeError) as exc:
         prefix = "parse error" if isinstance(exc, WalkFileError) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -13,6 +13,10 @@ weights.
 generated by h_2 = a^2 and h_3 = a^-1 b with representatives e, a^-1.  The
 two coin solutions are exchanged by an anti-unitary map and share a
 massless band structure, linear around its minimum.
+
+Every built-in walk of a group shares one immutable presentation and one
+tiling, built once at import; ``g1_walk`` and ``g2_walk`` build only the
+walk's own matrices.
 """
 
 from __future__ import annotations
@@ -108,10 +112,13 @@ def _with_inverse_rows(table) -> tuple[TilingRule, ...]:
     )
 
 
-def _planar_walk(relators, rep_words, table, matrices) -> WalkSpec:
-    """A built-in walk: generators (a, b), dimension 2, one coset per representative word."""
+def _planar_group(relators, rep_words, table) -> tuple[GroupPresentation, TilingData]:
+    """A built-in group: generators (a, b), dimension 2, one coset per representative word."""
     tiling = TilingData(2, len(rep_words), rep_words, _with_inverse_rows(table))
-    return WalkSpec(GroupPresentation((A, B), relators), tiling, matrices)
+    return GroupPresentation((A, B), relators), tiling
+
+
+_G1_GROUP = _planar_group(((A,) * 4, (B,) * 4, (A, B, A, B)), ((), (A,), (A, A), (A, A, A)), _G1_TABLE)
 
 
 def g1_base_matrices(walk_class: str, sign: int) -> dict[GeneratorLabel, np.ndarray]:
@@ -129,7 +136,7 @@ def g1_walk(params: G1Params = G1Params()) -> WalkSpec:
     """Built-in g1 walk; passes tiling validation and is unitary to 1e-12."""
     z = params.n * IDENTITY2 + 1j * params.sign * params.m * PAULI_X  # the mixing unitary Z
     matrices = {g: z @ m for g, m in g1_base_matrices(params.walk_class, params.sign).items()}
-    return _planar_walk(((A,) * 4, (B,) * 4, (A, B, A, B)), ((), (A,), (A, A), (A, A, A)), _G1_TABLE, matrices)
+    return WalkSpec(*_G1_GROUP, matrices)
 
 
 def g1_effective_weight(params: G1Params) -> float:
@@ -185,6 +192,9 @@ _G2_TABLE: tuple[tuple[GeneratorLabel, int, int, tuple[int, int]], ...] = (
 )
 
 
+_G2_GROUP = _planar_group(((A, A, B_INV, B_INV),), ((), (A_INV,)), _G2_TABLE)
+
+
 def g2_solution_matrices(variant: str = "I") -> dict[GeneratorLabel, np.ndarray]:
     """The two coin solutions; variant II is Y A^T Y^dag of variant I."""
     mats = {
@@ -203,7 +213,7 @@ def g2_solution_matrices(variant: str = "I") -> dict[GeneratorLabel, np.ndarray]
 
 def g2_walk(variant: str = "I") -> WalkSpec:
     """Built-in g2 walk; passes tiling validation and is unitary to 1e-12."""
-    return _planar_walk(((A, A, B_INV, B_INV),), ((), (A_INV,)), _G2_TABLE, g2_solution_matrices(variant))
+    return WalkSpec(*_G2_GROUP, g2_solution_matrices(variant))
 
 
 def g2_wave_numbers(k) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cosetwalk import examples as ex
+from cosetwalk import walks
 from cosetwalk.groups import generator_pair, validate_tiling
+from cosetwalk.io import dumps_walk, loads_walk
 from cosetwalk.linalg import PAULI_X, PAULI_Z, adjoint, phase_multiset_distance, wrap_phase
 from cosetwalk.spectral import band_phases, dispersion_grid, grid_axis
 from cosetwalk.walks import WalkSpec
@@ -64,6 +68,45 @@ def test_every_rule_label_is_a_matrix_key(walk):
     keys = list(walk.matrices)
     for rule in walk.tiling.rules:
         assert any(rule.generator is key for key in keys), rule
+
+
+def test_builtin_walks_share_one_presentation_and_tiling_per_group():
+    members = [
+        ex.g1_walk(ex.G1Params(walk_class, n, float(np.sqrt(1.0 - n * n)), sign))
+        for walk_class in ("I", "II") for sign in (1, -1) for n in (0.0, 0.3, 0.6, 0.8, 1.0)
+    ] + [ex.g1_walk(), ex.builtin_walk("g1", "n=0.6,m=0.8,class=II,sign=-")[0]]
+    assert all(walk.presentation is members[0].presentation for walk in members)
+    assert all(walk.tiling is members[0].tiling for walk in members)
+    g2 = [ex.g2_walk("I"), ex.g2_walk("II"), ex.builtin_walk("g2", "class=II")[0]]
+    assert all(walk.presentation is g2[0].presentation and walk.tiling is g2[0].tiling for walk in g2)
+    assert g2[0].tiling is not members[0].tiling and g2[0].presentation is not members[0].presentation
+    # each walk still owns its matrices, and the shared objects export as before
+    assert len({id(walk.matrices) for walk in members + g2}) == len(members + g2)
+    golden = Path(__file__).parent / "golden"
+    assert dumps_walk(ex.g1_walk()).encode("utf-8") == (golden / "g1.json").read_bytes()
+    assert dumps_walk(ex.g2_walk()).encode("utf-8") == (golden / "g2.json").read_bytes()
+
+
+def _assert_same_buckets(left, right):
+    assert left.products == right.products
+    for field in ("pairs", "columns", "identity_rows"):
+        assert np.array_equal(getattr(left, field), getattr(right, field)), field
+
+
+@pytest.mark.parametrize("make", [ex.g1_walk, lambda: ex.g2_walk("II")], ids=["g1", "g2-II"])
+def test_a_file_round_trip_gives_a_distinct_equal_tiling_with_equal_buckets(make):
+    walk = make()
+    loaded = loads_walk(dumps_walk(walk))
+    shared, copy = walk.tiling, loaded.tiling
+    assert copy is not shared
+    # the loader orders the rules by alphabet position, so the table is compared as rows
+    assert (copy.dimension, copy.index, copy.rep_words) == (shared.dimension, shared.index, shared.rep_words)
+    assert set(copy.rules) == set(shared.rules) and copy._rows == shared._rows
+    assert loaded.presentation == walk.presentation
+    alphabet = walk.presentation.alphabet
+    fresh = walks._pair_buckets.__wrapped__(shared, alphabet)
+    _assert_same_buckets(walks._pair_buckets(shared, alphabet), fresh)
+    _assert_same_buckets(walks._pair_buckets(copy, loaded.presentation.alphabet), fresh)
 
 
 def test_g2_variant_two_is_antiunitary_image(g2_one, g2_two):

@@ -1195,6 +1195,69 @@ def test_cli_help_prints_usage_and_exits_zero(capsys):
     assert "--momentum MOMENTUM" in captured.out and captured.err == ""
 
 
+def _fresh_cli(argv, **env):
+    """Exit code and stdout of ``python -m cosetwalk.cli`` in a new process."""
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "cosetwalk.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    return done.returncode, done.stdout
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def spying(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spying)
+    cli.build_parser.cache_clear()
+    assert main(["suite", "--samples", "1"]) == 0
+    assert built  # the first call built the parser and its subparsers
+    count = len(built)
+    assert main(["dispersion", "--example", "g2", "--grid", "2"]) == 0
+    assert main(["evolve", "--torus", "x"]) == 2
+    assert len(built) == count
+
+
+def test_cli_runs_a_handler_patched_after_the_first_call(monkeypatch):
+    assert main(["suite", "--samples", "1"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_suite", lambda args: seen.append(args.samples) or 0)
+    assert main(["suite", "--samples", "7"]) == 0
+    assert seen == [7]
+    monkeypatch.undo()
+    assert main(["suite", "--samples", "1"]) == 0 and seen == [7]
+
+
+def test_cli_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
+    layouts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evolve", "--help"])
+        assert exit_info.value.code == 0
+        layouts.append(capsys.readouterr().out)
+        assert layouts[-1] == _fresh_cli(["evolve", "--help"], COLUMNS=columns)[1]
+    assert len(layouts[0].splitlines()) > len(layouts[1].splitlines())
+
+
+@pytest.mark.parametrize("bad, good", [
+    (["evolve", "--example", "g1", "--init", "planewave", "--steps", "x"],
+     ["evolve", "--example", "g1", "--torus", "8", "--steps", "3"]),
+    (["suite", "--samples"], ["suite", "--samples", "5", "--seed", "3"]),
+    (["bogus"], ["validate", "--example", "g2", "--isotropy", "sigma_z"]),
+], ids=["evolve", "suite", "unknown-command"])
+def test_cli_call_after_a_usage_error_matches_a_fresh_process(bad, good, capsys):
+    assert main(bad) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    code = main(good)
+    assert (code, capsys.readouterr().out) == _fresh_cli(good)
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_overflowing_entry_fails_every_check(capsys):
     # a's first entry is 1e308: its pair products overflow and the unitarity
