@@ -23,6 +23,7 @@ import numpy as np
 
 from .coarse import available_workers, kspace_operators, lattice, map_kchunks, shift_blocks
 from .linalg import DEFAULT_UNITARY_TOL, circular_distance, eigenpairs, wrap_phase
+from .spectral import check_band
 from .walks import WalkSpec
 
 
@@ -97,7 +98,8 @@ def make_plane_wave(
     """Unit-norm momentum eigenstate: e^{-i k.v} times a fiber eigenvector.
 
     ``momentum`` is the integer index m of the allowed wave-vector
-    k = 2 pi m / N (componentwise).  Bands are the phases in the order
+    k = 2 pi m / N (componentwise).  ``band`` is an integer in
+    0 .. block_dim - 1.  Bands are the phases in the order
     ``eigenpairs`` sorts them, which counts a phase within DEFAULT_UNITARY_TOL
     (1e-8) of -pi as +pi, so rounding cannot move an eigenspace at pi to
     band 0.  Bands whose phases
@@ -117,6 +119,7 @@ def make_plane_wave(
     _check_torus(walk, shape)
     if len(momentum) != d:
         raise ValueError(f"momentum index needs {d} components")
+    check_band(walk, band)
     k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
     phases, vectors = eigenpairs(kspace_operators(walk, k[None, :]))
     cluster = circular_distance(phases[0], phases[0][band]) <= DEFAULT_UNITARY_TOL

@@ -73,7 +73,8 @@ def wrap_phase(x):
     w += np.pi
     np.mod(w, 2.0 * np.pi, out=w, where=(w < 0.0) | (w >= 2.0 * np.pi))
     w -= np.pi
-    return np.where(w == -np.pi, np.pi, w)
+    w[w == -np.pi] = np.pi
+    return w
 
 
 def circular_distance(a, b):
@@ -105,10 +106,15 @@ def _phases_and_worst(values: np.ndarray, vectors: np.ndarray, image: np.ndarray
     counted as +pi, and each matrix's worst ||U v - e^{-i omega} v|| / ||v||.
     ``image`` is U @ vectors, and is overwritten."""
     phases = wrap_phase(-np.angle(values))
-    phases = np.where(phases <= DEFAULT_UNITARY_TOL - np.pi, phases + 2.0 * np.pi, phases)
+    phases[phases <= DEFAULT_UNITARY_TOL - np.pi] += 2.0 * np.pi
     image -= vectors * np.exp(-1j * phases)[:, None, :]
-    residuals = np.linalg.norm(image, axis=-2) / np.linalg.norm(vectors, axis=-2)
+    residuals = _column_norms(image) / _column_norms(vectors)
     return phases, residuals.max(axis=-1, initial=0.0)
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-2)``'s own sum and square root, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2))
 
 
 def eigenpairs(u: np.ndarray, *, _offset: int = 0) -> tuple[np.ndarray, np.ndarray]:

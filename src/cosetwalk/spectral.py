@@ -84,11 +84,20 @@ def _components(k, dimension: int) -> np.ndarray:
     comps = np.asarray(k, dtype=float)
     if comps.shape != (dimension,):
         raise ValueError(f"wave-vector has shape {comps.shape}, expected ({dimension},)")
+    if not np.isfinite(comps).all():
+        raise ValueError(f"wave-vector {tuple(comps.tolist())} is not finite")
     return comps
 
 
+def check_band(walk: WalkSpec, band) -> None:
+    """Raise ValueError unless ``band`` names one of the walk's sorted bands:
+    an integer in 0 .. block_dim - 1 (numpy would count a negative one from the end)."""
+    if not isinstance(band, (int, np.integer)) or not 0 <= band < walk.block_dim:
+        raise ValueError(f"band must be an integer in 0..{walk.block_dim - 1}, got {band!r}")
+
+
 def band_phases(walk: WalkSpec, k) -> np.ndarray:
-    """Sorted eigenphases of the fiber operator at one wave-vector."""
+    """Sorted eigenphases of the fiber operator at one finite wave-vector."""
     comps = _components(k, walk.tiling.dimension)
     return eigenpairs(kspace_operators(walk, comps[None, :]))[0][0]
 
@@ -103,10 +112,11 @@ def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps=()) -> t
     upper, lower), with upper[i, axis] the phase at k + steps[i] e_axis and
     lower[i, axis] the phase at k - steps[i] e_axis.
     """
+    check_band(walk, band)
     d = comps.size
     steps = (VELOCITY_STEP, *steps)
-    shifts = [h * np.eye(d) for h in steps]
-    points = np.concatenate([comps[None, :]] + [comps + s for s in shifts] + [comps - s for s in shifts])
+    offsets = (np.array(steps)[:, None, None] * np.eye(d)).reshape(-1, d)  # row i d + a: steps[i] e_a
+    points = np.concatenate([comps[None, :], comps + offsets, comps - offsets])
     phases = eigenpairs(kspace_operators(walk, points))[0][:, band]
     upper, lower = phases[1:].reshape(2, len(steps), d)
     forward, backward = wrap_phase(np.stack([upper[0] - phases[0], phases[0] - lower[0]]))
@@ -120,7 +130,8 @@ def _stencil_phases(walk: WalkSpec, comps: np.ndarray, band: int, steps=()) -> t
 
 def group_velocity(walk: WalkSpec, k, band: int) -> np.ndarray:
     """Central-difference gradient of the sorted band at k, step VELOCITY_STEP;
-    raises BandCrossingError at a kink of the sorted band inside the stencil."""
+    raises BandCrossingError at a kink of the sorted band inside the stencil.
+    ``band`` is an integer in 0 .. block_dim - 1, and k is finite."""
     return _stencil_phases(walk, _components(k, walk.tiling.dimension), band)[0]
 
 
@@ -129,7 +140,8 @@ def band_curvature(walk: WalkSpec, k, band: int) -> np.ndarray:
 
     Second-order central differences at steps CURVATURE_STEP and half of it
     with one Richardson extrapolation; requires the gradient at k to vanish
-    to GRADIENT_TOLERANCE.
+    to GRADIENT_TOLERANCE.  ``band`` is an integer in 0 .. block_dim - 1,
+    and k is finite.
     """
     comps = _components(k, walk.tiling.dimension)
     steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])

@@ -12,7 +12,7 @@ from cosetwalk.evolve import LatticeState, evolve, evolve_fourier, make_delta, m
 from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, TilingRule, generator_pair, validate_tiling
 from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
-from cosetwalk.spectral import _components
+from cosetwalk.spectral import _components, band_curvature, band_phases, group_velocity
 from cosetwalk.walks import IsotropySpec, WalkSpec
 
 A, A_INV = generator_pair("a")
@@ -44,6 +44,13 @@ def _validation_messages(tiling):
      f"matrix dimension {EIGENSOLVE_MAX_DIM + 1} exceeds {EIGENSOLVE_MAX_DIM}"),
     (lambda: _components([0.1, 0.2, 0.3], 2), ValueError, "wave-vector has shape (3,), expected (2,)"),
     (lambda: _components([[0.1, 0.2]], 2), ValueError, "wave-vector has shape (1, 2), expected (2,)"),
+    (lambda: group_velocity(ex.g1_walk(), (np.inf, 0), 0), ValueError, "wave-vector (inf, 0.0) is not finite"),
+    (lambda: band_phases(ex.g1_walk(), (np.nan, 0)), ValueError, "wave-vector (nan, 0.0) is not finite"),
+    (lambda: band_curvature(ex.g1_walk(), (0.0, -np.inf), 0), ValueError, "wave-vector (0.0, -inf) is not finite"),
+    (lambda: band_curvature(ex.g1_walk(), (0, 0), 9), ValueError, "band must be an integer in 0..7, got 9"),
+    (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), -1), ValueError, "band must be an integer in 0..7, got -1"),
+    (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), 1.0), ValueError, "band must be an integer in 0..7, got 1.0"),
+    (lambda: make_plane_wave(ex.g1_walk(), 128, (1, 0), band=8), ValueError, "band must be an integer in 0..7, got 8"),
     (lambda: evolve_fourier(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
      "step count must be nonnegative"),
     (lambda: evolve(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
@@ -73,7 +80,9 @@ def _validation_messages(tiling):
 ], ids=[
     "presentation-duplicate-names", "presentation-inverse-in-s-plus", "presentation-unknown-relator-letter",
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
-    "eigenpairs-one-matrix", "eigenpairs-two-stack-axes", "eigenpairs-too-wide", "components-too-long", "components-two-axes", "fourier-negative-steps",
+    "eigenpairs-one-matrix", "eigenpairs-two-stack-axes", "eigenpairs-too-wide", "components-too-long", "components-two-axes",
+    "velocity-infinite-k", "band-phases-nan-k", "curvature-infinite-k", "curvature-band-9", "velocity-band-minus-1",
+    "velocity-float-band", "plane-wave-band-8", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
     "walk-file-root-not-an-object", "walk-spec-ragged-matrix", "isotropy-ragged-coin", "isotropy-text-coin",
     "isotropy-one-axis-coin", "isotropy-non-square-coin", "isotropy-nan-coin", "isotropy-missing-inverse-letter",

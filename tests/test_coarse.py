@@ -1,11 +1,15 @@
+import gc
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cosetwalk import coarse
 from cosetwalk import examples as ex
-from cosetwalk.coarse import kspace_operators, lattice
+from cosetwalk.coarse import kspace_operators, lattice, shift_blocks
 from cosetwalk.groups import (
     GroupPresentation,
     TilingData,
@@ -126,6 +130,65 @@ def test_g2_factorized_form_has_equal_spectrum(g2_one, rng):
 
 
 # --- retiling ---------------------------------------------------------------
+
+
+def test_shift_blocks_are_built_once_per_walk_and_read_only(g1_massive):
+    shifts, blocks = shift_blocks(g1_massive)
+    again = shift_blocks(g1_massive)
+    assert again[0] is shifts and again[1] is blocks
+    with pytest.raises(ValueError):
+        blocks[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        blocks[...] = 0.0
+
+
+def test_walks_on_one_tiling_never_share_blocks(rng):
+    massive, flat = ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), ex.g1_walk(ex.G1Params("II", 0.0, 1.0, 1))
+    assert massive.tiling is flat.tiling
+    for walk in (massive, flat):  # each walk's blocks are its own rules' sums
+        shifts, blocks = shift_blocks(walk)
+        expected = np.zeros_like(blocks)
+        s = walk.coin_dim
+        for rule in walk.tiling.rules:
+            expected[shifts.index(rule.shift), s * rule.target:s * rule.target + s,
+                     s * rule.coset:s * rule.coset + s] += walk.matrices[rule.generator]
+        assert np.array_equal(blocks, expected)
+    assert not np.shares_memory(shift_blocks(massive)[1], shift_blocks(flat)[1])
+    assert not np.array_equal(shift_blocks(massive)[1], shift_blocks(flat)[1])
+    k = rng.uniform(-np.pi, np.pi, (4, 2))
+    assert not np.allclose(kspace_operators(massive, k), kspace_operators(flat, k))
+
+
+def test_shift_block_memo_keeps_no_dropped_walk():
+    gc.collect()
+    held = len(coarse._BLOCKS)
+    for _ in range(1000):
+        shift_blocks(ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)))
+    gc.collect()
+    assert len(coarse._BLOCKS) == held
+
+
+def test_threads_racing_on_a_new_walk_share_one_build():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            walk = ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1))
+            start, seen = threading.Barrier(8), []
+
+            def race():
+                start.wait(timeout=10)
+                seen.append(shift_blocks(walk)[1])
+
+            threads = [threading.Thread(target=race) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8 and all(blocks is shift_blocks(walk)[1] for blocks in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_retile_with_identical_reps_is_identity(g1_massive):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import threading
 
 import numpy as np
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from cosetwalk import coarse
 from cosetwalk import examples as ex
 from cosetwalk.coarse import kspace_operators
+from cosetwalk.evolve import make_plane_wave
 from cosetwalk.linalg import (
     NonUnitaryError,
     adjoint,
@@ -374,3 +376,50 @@ def test_one_chunk_or_one_core_starts_no_pool(g1_massive, monkeypatch, cores):
     monkeypatch.delattr(coarse.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(coarse.os, "cpu_count", lambda: 1)
     assert dispersion_grid(g1_massive, 91).phases.shape == (8281, 8)
+
+
+# --- single-k bits ------------------------------------------------------------
+
+# float.hex of band_phases at (0.3, -1.1), group_velocity at (0.3, -1.1) band 1
+# and (-2.0, 0.5) band 3, band_curvature at (0, 0) band 2 and (pi, 0) band 5, and
+# the SHA-1 of make_plane_wave(walk, 16, (3, -5), band=2) amplitudes, recorded with
+# numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64 (another LAPACK build may round
+# differently).  Every g2 extremum sits on a band crossing, so g2 has no curvature.
+SINGLE_K_BITS = {
+    'g1-I+': {'phases': ('-0x1.46fb96654e869p+1', '-0x1.46fb96654e869p+1', '-0x1.2c907b7bd12c0p-1', '-0x1.2c907b7bd12bcp-1', '0x1.2c907b7bd12bcp-1', '0x1.2c907b7bd12bcp-1', '0x1.46fb96654e868p+1', '0x1.46fb96654e868p+1'), 'velocity': ('-0x1.d874ab3fc5fffp-6', '0x1.6432f2ea629ffp-4', '-0x1.93975d4294dffp-4', '0x1.a995ec09d7fffp-5'), 'curvature': ('0x1.7fffff4cf9555p-4', '0x1.7fffffdb63aabp-4', '0x1.dfc40ac558000p-4', '-0x1.dfc40b90cb555p-4'), 'plane_wave': 'ee68ed3006a28e59d207f6af330b6f56754e7ab5'},
+    'g1-I-': {'phases': ('-0x1.46fb96654e869p+1', '-0x1.46fb96654e869p+1', '-0x1.2c907b7bd12c0p-1', '-0x1.2c907b7bd12bcp-1', '0x1.2c907b7bd12bcp-1', '0x1.2c907b7bd12c0p-1', '0x1.46fb96654e868p+1', '0x1.46fb96654e868p+1'), 'velocity': ('-0x1.d874ab3fc5fffp-6', '0x1.6432f2ea629ffp-4', '-0x1.93975d4294dffp-4', '0x1.a995ec09d7fffp-5'), 'curvature': ('0x1.7fffff42cd2abp-4', '0x1.7fffff4cf9555p-4', '0x1.dfc40ac558000p-4', '-0x1.dfc40c338e000p-4'), 'plane_wave': '7d87a9c92ccb7344a307b7ed4e54a0eb4ae4c917'},
+    'g1-II+': {'phases': ('-0x1.1433f98115b3cp+1', '-0x1.1433f98115b3cp+1', '-0x1.f7aeef0cb4774p-1', '-0x1.f7aeef0cb4774p-1', '0x1.f7aeef0cb4770p-1', '0x1.f7aeef0cb4778p-1', '0x1.1433f98115b3cp+1', '0x1.1433f98115b3cp+1'), 'velocity': ('0x1.d874ab39ab7ffp-6', '-0x1.6432f2ea629ffp-4', '0x1.93975d4294dffp-4', '-0x1.a995ec09d7fffp-5'), 'curvature': ('-0x1.7fffffdb63aabp-4', '-0x1.7fffffdb63aabp-4', '-0x1.dfc40be22caabp-4', '0x1.dfc40aee08aabp-4'), 'plane_wave': 'e9cfddd00ea28ea9a1c32495a4070450dc603bd7'},
+    'g1-II-': {'phases': ('-0x1.1433f98115b3cp+1', '-0x1.1433f98115b3bp+1', '-0x1.f7aeef0cb4774p-1', '-0x1.f7aeef0cb4774p-1', '0x1.f7aeef0cb4770p-1', '0x1.f7aeef0cb4770p-1', '0x1.1433f98115b3cp+1', '0x1.1433f98115b3cp+1'), 'velocity': ('0x1.d874ab39ab7ffp-6', '-0x1.6432f2ea629ffp-4', '0x1.93975d4294dffp-4', '-0x1.a995ec09d7fffp-5'), 'curvature': ('-0x1.8000007e26555p-4', '-0x1.7fffffdb63aabp-4', '-0x1.dfc40be22caabp-4', '0x1.dfc40aee08aabp-4'), 'plane_wave': 'ad0d1390eccfd310d57c6e18a59da723d315e6d4'},
+    'g2-I': {'phases': ('-0x1.81c5b3104c0f2p+1', '-0x1.05a0233f6c270p-3', '0x1.05a0233f6c270p-3', '0x1.81c5b3104c0f2p+1'), 'velocity': ('-0x1.b3230ec5b197fp-2', '-0x1.4290860f8ac00p-5', '0x1.cee8ce6b8c7ffp-2', '0x1.702bf6aabd3ffp-3'), 'plane_wave': 'c21675e830223c50438ec7d540132dde5b99cb7d'},
+    'g2-II': {'phases': ('-0x1.81c5b3104c0f2p+1', '-0x1.05a0233f6c260p-3', '0x1.05a0233f6c270p-3', '0x1.81c5b3104c0f2p+1'), 'velocity': ('-0x1.b3230ec5b197fp-2', '-0x1.4290860f8ac00p-5', '0x1.cee8ce6b8c7ffp-2', '0x1.702bf6aabd3ffp-3'), 'plane_wave': 'e05be1fb7c01be4e660b5900d7d461e1382b460f'},
+}
+SINGLE_K_WALKS = {
+    "g1-I+": lambda: ex.g1_walk(ex.G1Params("I", 0.8, 0.6, 1)),
+    "g1-I-": lambda: ex.g1_walk(ex.G1Params("I", 0.8, 0.6, -1)),
+    "g1-II+": lambda: ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)),
+    "g1-II-": lambda: ex.g1_walk(ex.G1Params("II", 0.6, 0.8, -1)),
+    "g2-I": lambda: ex.g2_walk("I"),
+    "g2-II": lambda: ex.g2_walk("II"),
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_K_BITS)
+def test_single_k_solves_keep_their_recorded_bits(name):
+    """The stencil and plane-wave paths through the eigen kernel give the
+    recorded bits: the kernel's bookkeeping may change only in ways that keep them."""
+    walk = SINGLE_K_WALKS[name]()
+
+    def hexes(*arrays):
+        return tuple(float(x).hex() for a in arrays for x in np.ravel(a))
+
+    expected = SINGLE_K_BITS[name]
+    assert hexes(band_phases(walk, (0.3, -1.1))) == expected["phases"]
+    assert hexes(group_velocity(walk, (0.3, -1.1), 1), group_velocity(walk, (-2.0, 0.5), 3)) == expected["velocity"]
+    if name.startswith("g1"):
+        curvature = band_curvature(walk, (0.0, 0.0), 2), band_curvature(walk, (np.pi, 0.0), 5)
+        assert hexes(*curvature) == expected["curvature"]
+    else:
+        with pytest.raises(BandCrossingError):
+            band_curvature(walk, (np.pi, np.pi), 0)
+    amplitudes = make_plane_wave(walk, 16, (3, -5), 2).amplitudes
+    assert hashlib.sha1(amplitudes.tobytes()).hexdigest() == expected["plane_wave"]
