@@ -23,7 +23,7 @@ import numpy as np
 
 from .coarse import available_workers, kspace_operators, lattice, map_kchunks, shift_blocks
 from .linalg import DEFAULT_UNITARY_TOL, circular_distance, eigenpairs, wrap_phase
-from .spectral import check_band
+from .spectral import check_band, is_integer
 from .walks import WalkSpec
 
 
@@ -74,21 +74,14 @@ def _check_torus(walk: WalkSpec, shape: tuple[int, ...]) -> None:
         )
 
 
-def make_delta(walk: WalkSpec, size: int, *, coin: int | None = None) -> LatticeState:
-    """Unit-norm state concentrated on the origin site's first coset.
-
-    ``coin=None`` places the uniform coin superposition (1, ..., 1)/sqrt(s);
-    an integer selects a single coin basis vector.
-    """
+def make_delta(walk: WalkSpec, size: int) -> LatticeState:
+    """Unit-norm state on the origin site's first coset: the uniform coin
+    superposition (1, ..., 1)/sqrt(s)."""
     d = walk.tiling.dimension
     shape = (size,) * d + (walk.tiling.index, walk.coin_dim)
     _check_torus(walk, shape)
-    cell = (0,) * (d + 1)  # origin site, coset 0
     amps = np.zeros(shape, dtype=complex)
-    if coin is None:
-        amps[cell] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))
-    else:
-        amps[cell + (coin,)] = 1.0
+    amps[(0,) * (d + 1)] = np.full(walk.coin_dim, 1.0 / np.sqrt(walk.coin_dim))  # origin site, coset 0
     return LatticeState(amps)
 
 
@@ -119,6 +112,8 @@ def make_plane_wave(
     _check_torus(walk, shape)
     if len(momentum) != d:
         raise ValueError(f"momentum index needs {d} components")
+    if not all(is_integer(m) for m in momentum):
+        raise ValueError(f"momentum index must be integers, got {momentum!r}")
     check_band(walk, band)
     k = wrap_phase(2.0 * np.pi * np.asarray(momentum, dtype=float) / size)
     phases, vectors = eigenpairs(kspace_operators(walk, k[None, :]))

@@ -66,8 +66,8 @@ def dispersion_chunks(walk: WalkSpec, resolution: int) -> Iterator[DispersionGri
     An error names the first failing k-point of the earliest failing chunk,
     indexed over the whole grid; the chunks before it were yielded.
     """
-    if resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
+    if not is_integer(resolution) or resolution < 2:
+        raise ValueError(f"grid resolution must be an integer of at least 2, got {resolution!r}")
     kpoints = lattice(grid_axis(resolution), walk.tiling.dimension)
     yield from map_kchunks(walk, kpoints, lambda start, ops: DispersionGrid(
         kpoints[start:start + len(ops)], eigenpairs(ops, _offset=start)[0]
@@ -89,10 +89,14 @@ def _components(k, dimension: int) -> np.ndarray:
     return comps
 
 
+def is_integer(value) -> bool:  # an int or a numpy integer, not a bool, which Python counts as an int
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_band(walk: WalkSpec, band) -> None:
     """Raise ValueError unless ``band`` names one of the walk's sorted bands:
     an integer in 0 .. block_dim - 1 (numpy would count a negative one from the end)."""
-    if not isinstance(band, (int, np.integer)) or not 0 <= band < walk.block_dim:
+    if not is_integer(band) or not 0 <= band < walk.block_dim:
         raise ValueError(f"band must be an integer in 0..{walk.block_dim - 1}, got {band!r}")
 
 

@@ -211,7 +211,7 @@ def test_criterion_9_position_fourier_equivalence():
     worst_drift = 0.0
     worst_diff = 0.0
     for walk in (ex.g1_walk(ex.G1Params("II", 0.6, 0.8, 1)), ex.g2_walk("I")):
-        state = make_delta(walk, 16, coin=0)
+        state = make_delta(walk, 16)
         stepped = evolve(walk, state, 10)
         drift = abs(stepped.norm - state.norm)
         worst_drift = max(worst_drift, drift)

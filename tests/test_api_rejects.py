@@ -12,7 +12,7 @@ from cosetwalk.evolve import LatticeState, evolve, evolve_fourier, make_delta, m
 from cosetwalk.groups import GeneratorLabel, GroupPresentation, TilingData, TilingRule, generator_pair, validate_tiling
 from cosetwalk.io import WalkFileError, loads_walk
 from cosetwalk.linalg import EIGENSOLVE_MAX_DIM, eigenpairs
-from cosetwalk.spectral import _components, band_curvature, band_phases, group_velocity
+from cosetwalk.spectral import _components, band_curvature, band_phases, dispersion_grid, group_velocity
 from cosetwalk.walks import IsotropySpec, WalkSpec
 
 A, A_INV = generator_pair("a")
@@ -51,6 +51,21 @@ def _validation_messages(tiling):
     (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), -1), ValueError, "band must be an integer in 0..7, got -1"),
     (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), 1.0), ValueError, "band must be an integer in 0..7, got 1.0"),
     (lambda: make_plane_wave(ex.g1_walk(), 128, (1, 0), band=8), ValueError, "band must be an integer in 0..7, got 8"),
+    (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), True), ValueError, "band must be an integer in 0..7, got True"),
+    (lambda: group_velocity(ex.g1_walk(), (0.5, 0.2), False), ValueError, "band must be an integer in 0..7, got False"),
+    (lambda: band_curvature(ex.g1_walk(), (0, 0), True), ValueError, "band must be an integer in 0..7, got True"),
+    (lambda: band_curvature(ex.g1_walk(), (0, 0), False), ValueError, "band must be an integer in 0..7, got False"),
+    (lambda: make_plane_wave(ex.g1_walk(), 8, (1, 0), band=True), ValueError, "band must be an integer in 0..7, got True"),
+    (lambda: make_plane_wave(ex.g1_walk(), 8, (1, 0), band=False), ValueError,
+     "band must be an integer in 0..7, got False"),
+    (lambda: dispersion_grid(ex.g1_walk(), 2.5), ValueError, "grid resolution must be an integer of at least 2, got 2.5"),
+    (lambda: dispersion_grid(ex.g1_walk(), True), ValueError,
+     "grid resolution must be an integer of at least 2, got True"),
+    (lambda: dispersion_grid(ex.g1_walk(), 1), ValueError, "grid resolution must be an integer of at least 2, got 1"),
+    (lambda: make_plane_wave(ex.g2_walk("I"), 8, (0.5, 0)), ValueError, "momentum index must be integers, got (0.5, 0)"),
+    (lambda: make_plane_wave(ex.g2_walk("I"), 8, (1, True)), ValueError,
+     "momentum index must be integers, got (1, True)"),
+    (lambda: ex.g1_closed_form((0.0, 0.0), 0.6, "X"), ValueError, "walk_class must be 'I' or 'II', got 'X'"),
     (lambda: evolve_fourier(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
      "step count must be nonnegative"),
     (lambda: evolve(ex.g2_walk("I"), make_delta(ex.g2_walk("I"), 5), -1), ValueError,
@@ -82,7 +97,10 @@ def _validation_messages(tiling):
     "kspace-operators-wrong-width", "kspace-operators-one-axis", "eigenpairs-not-square", "eigenpairs-one-axis",
     "eigenpairs-one-matrix", "eigenpairs-two-stack-axes", "eigenpairs-too-wide", "components-too-long", "components-two-axes",
     "velocity-infinite-k", "band-phases-nan-k", "curvature-infinite-k", "curvature-band-9", "velocity-band-minus-1",
-    "velocity-float-band", "plane-wave-band-8", "fourier-negative-steps",
+    "velocity-float-band", "plane-wave-band-8", "velocity-band-true", "velocity-band-false", "curvature-band-true",
+    "curvature-band-false", "plane-wave-band-true", "plane-wave-band-false", "grid-float-resolution",
+    "grid-bool-resolution", "grid-resolution-1", "plane-wave-float-momentum", "plane-wave-bool-momentum",
+    "closed-form-unknown-class", "fourier-negative-steps",
     "evolve-negative-steps", "fourier-non-square-torus", "plane-wave-momentum-short", "plane-wave-momentum-long",
     "walk-file-root-not-an-object", "walk-spec-ragged-matrix", "isotropy-ragged-coin", "isotropy-text-coin",
     "isotropy-one-axis-coin", "isotropy-non-square-coin", "isotropy-nan-coin", "isotropy-missing-inverse-letter",

@@ -73,14 +73,16 @@ def test_shift_walk_translates_delta_exactly():
 ], ids=["g1-flat", "g1-massive", "g2-I", "g2-II"])
 def test_norm_is_conserved_over_ten_steps(maker):
     walk = maker()
-    state = make_delta(walk, 16, coin=0)
+    state = make_delta(walk, 16)
     final = evolve(walk, state, 10)
     assert abs(final.norm - 1.0) < 1e-12
 
 
 def test_g2_single_step_support_from_coin_basis_delta(g2_one):
     # with coin e_1 only the a and b branches carry amplitude: two cells of 1/2
-    state = make_delta(g2_one, 8, coin=0)
+    amplitudes = np.zeros((8, 8, 2, 2), dtype=complex)
+    amplitudes[0, 0, 0, 0] = 1.0  # origin site, coset 0, coin e_1
+    state = LatticeState(amplitudes)
     probabilities = probability_map(step(g2_one, state))
     nonzero = {
         cell: float(probabilities[cell])
@@ -134,7 +136,7 @@ def test_fourier_with_zero_steps_is_identity(g1_massive):
 ], ids=["g1", "g2"])
 def test_fourier_agrees_with_stepping(maker):
     walk = maker()
-    state = make_delta(walk, 16, coin=0)
+    state = make_delta(walk, 16)
     stepped = evolve(walk, state, 10)
     transformed = evolve_fourier(walk, state, 10)
     assert np.abs(stepped.amplitudes - transformed.amplitudes).max() < 1e-10

@@ -99,14 +99,27 @@ def test_a_file_round_trip_gives_a_distinct_equal_tiling_with_equal_buckets(make
     loaded = loads_walk(dumps_walk(walk))
     shared, copy = walk.tiling, loaded.tiling
     assert copy is not shared
-    # the loader orders the rules by alphabet position, so the table is compared as rows
-    assert (copy.dimension, copy.index, copy.rep_words) == (shared.dimension, shared.index, shared.rep_words)
-    assert set(copy.rules) == set(shared.rules) and copy._rows == shared._rows
+    # the built-in rows are listed by (letter, coset), as the file lists them
+    assert copy == shared
     assert loaded.presentation == walk.presentation
     alphabet = walk.presentation.alphabet
     fresh = walks._pair_buckets.__wrapped__(shared, alphabet)
     _assert_same_buckets(walks._pair_buckets(shared, alphabet), fresh)
-    _assert_same_buckets(walks._pair_buckets(copy, loaded.presentation.alphabet), fresh)
+    # the equal table finds the built-in's cache entry instead of building its own
+    assert walks._pair_buckets(copy, loaded.presentation.alphabet) is walks._pair_buckets(shared, alphabet)
+
+
+def test_round_tripped_builtins_equal_their_tables_and_share_two_cache_entries():
+    corners = [(cls, n, sign) for cls in ("I", "II") for n in (0.0, 0.6, 1.0) for sign in (1, -1)]
+    builtins = [ex.g1_walk(ex.G1Params(cls, n, float(np.sqrt(1.0 - n * n)), sign)) for cls, n, sign in corners]
+    builtins += [ex.g2_walk("I"), ex.g2_walk("II")]
+    walks._pair_buckets.cache_clear()
+    for walk in builtins:
+        loaded = loads_walk(dumps_walk(walk))
+        assert loaded.tiling == walk.tiling and hash(loaded.tiling) == hash(walk.tiling)
+        assert walks.unitarity_residual(loaded) == walks.unitarity_residual(walk)
+    # one entry per built-in group: a loaded table is a key equal to its built-in one
+    assert walks._pair_buckets.cache_info().currsize == 2
 
 
 def test_g2_variant_two_is_antiunitary_image(g2_one, g2_two):

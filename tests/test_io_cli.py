@@ -461,11 +461,6 @@ def test_cli_dispersion_oracle_on_walk_file_is_rejected_before_solving(tmp_path,
     assert not out.exists()
 
 
-def test_cli_dispersion_grid_usage_error(capsys):
-    assert main(["dispersion", "--example", "g2", "--grid", "1"]) == 2
-    assert "grid" in capsys.readouterr().err
-
-
 _MASSIVE = "n=0.6,m=0.8,class=II"
 
 
@@ -583,21 +578,6 @@ def test_cli_evolve_zero_steps_keeps_distribution(tmp_path):
         total[(int(s1), int(s2), int(coset))] = float(p)
     assert total[(0, 0, 0)] == pytest.approx(1.0)
     assert sum(total.values()) == pytest.approx(1.0)
-
-
-def test_cli_evolve_torus_too_small(capsys):
-    assert main(["evolve", "--example", "g1", "--torus", "2", "--steps", "1"]) == 2
-    assert "torus" in capsys.readouterr().err
-
-
-def test_cli_unknown_example(capsys):
-    assert main(["dispersion", "--example", "g9", "--grid", "5"]) == 2
-    assert "unknown example" in capsys.readouterr().err
-
-
-def test_cli_bad_g2_class(capsys):
-    assert main(["dispersion", "--example", "g2", "--params", "class=III", "--grid", "5"]) == 2
-    assert "'III'" in capsys.readouterr().err
 
 
 def test_cli_non_unitary_walk_fails_with_one_line(capsys):
@@ -719,7 +699,10 @@ def _shifted_builtin(name, params=None, *, builtin=ex.builtin_walk):
     (["evolve", "--example", "g1", "--steps", "-1"], False, 2, "", "error: --steps must be nonnegative\n"),
     (["dispersion", "--example", "g2", "--grid", "9", "--oracle"], True, 1,
      "oracle deviation: 1.000e-01\noracle: FAIL (tolerance 1.0e-09)\n", ""),
-], ids=["evolve-negative-steps", "oracle-fail"])
+    (["dispersion", "--example", "g2", "--grid", "1"], False, 2, "", "error: --grid must be at least 2\n"),
+    (["evolve", "--example", "g1", "--torus", "2", "--steps", "1"], False, 2, "",
+     "error: torus size 2 too small; displacements up to 1 need at least 3\n"),
+], ids=["evolve-negative-steps", "oracle-fail", "dispersion-grid-1", "evolve-torus-too-small"])
 def test_cli_reject_branches(argv, patched, code, out, err, monkeypatch, capsys):
     if patched:
         monkeypatch.setattr(ex, "builtin_walk", _shifted_builtin)
@@ -962,16 +945,6 @@ def test_cli_suite_output_is_pinned(samples, seed, closure, smallest, capsys):
     # captured from the per-family scorer the batched kernel replaced
     assert main(["suite", "--samples", str(samples), "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == _suite_stdout(closure, samples, smallest)
-
-
-def test_cli_missing_source(capsys):
-    assert main(["validate"]) == 2
-
-
-def test_cli_bad_params(capsys):
-    assert main([
-        "dispersion", "--example", "g1", "--params", "n=0.6,m=0.7", "--grid", "5"
-    ]) == 2
 
 
 def test_cli_suite(capsys):
